@@ -42,9 +42,11 @@ from .mining import (
     regress_all,
 )
 from .simulator import (
+    MinedIteration,
     RegressorModel,
     SimulationRecord,
     linear_ramp,
+    mine_image,
     optimize_logits,
     run_simulation,
     simulate_regression,
@@ -80,6 +82,7 @@ __all__ = [
     "LossParams",
     "MatchCensus",
     "MatchParams",
+    "MinedIteration",
     "ProvenanceReport",
     "RegressorModel",
     "ScaleCurvePoint",
@@ -105,6 +108,7 @@ __all__ = [
     "match_first_step",
     "match_nams",
     "match_two_step",
+    "mine_image",
     "nms",
     "optimize_logits",
     "pairwise_iou",

@@ -98,14 +98,16 @@ class Assignment:
         )
 
 
-def _first_step_core(
-    grid: AnchorGrid, faces: Sequence[Box] | np.ndarray, params: MatchParams
-) -> tuple[Assignment, np.ndarray]:
-    """First matching step plus the full anchor-by-face IoU matrix."""
-    faces = as_box_array(faces)
+def first_step_from_ious(
+    grid: AnchorGrid, faces: np.ndarray, ious: np.ndarray, params: MatchParams
+) -> Assignment:
+    """First matching step on a precomputed (N, F) anchor-by-face IoU matrix.
+
+    `faces` is the (F, 4) box array and `ious` is ``pairwise_iou(grid.boxes,
+    faces)``; callers that need the matrix again compute it once and share it.
+    """
     n = len(grid)
     f = faces.shape[0]
-    ious = pairwise_iou(grid.boxes, faces)  # (N, F)
     face_of = np.full(n, BACKGROUND, dtype=np.int64)
     targets = np.full((n, 4), np.nan)
     source = np.full(n, SOURCE_NONE, dtype=np.uint8)
@@ -118,15 +120,15 @@ def _first_step_core(
         if np.any(pos):
             targets[pos] = encode_boxes(grid.boxes[pos], faces[best_face[pos]])
     matched = np.bincount(face_of[face_of >= 0], minlength=f).astype(np.int64)
-    return Assignment(face_of, targets, source, matched), ious
+    return Assignment(face_of, targets, source, matched)
 
 
 def match_first_step(
     grid: AnchorGrid, faces: Sequence[Box] | np.ndarray, params: MatchParams
 ) -> Assignment:
     """Assign each anchor to its maximum-IoU face when that IoU >= the threshold."""
-    assignment, _ = _first_step_core(grid, faces, params)
-    return assignment
+    faces = as_box_array(faces)
+    return first_step_from_ious(grid, faces, pairwise_iou(grid.boxes, faces), params)
 
 
 def match_two_step(
@@ -139,7 +141,8 @@ def match_two_step(
     unavailable to later faces.
     """
     faces = as_box_array(faces)
-    assignment, ious = _first_step_core(grid, faces, params)
+    ious = pairwise_iou(grid.boxes, faces)  # (N, F)
+    assignment = first_step_from_ious(grid, faces, ious, params)
     for fi in range(faces.shape[0]):
         if assignment.matched_count[fi] > 0:
             continue
@@ -161,7 +164,8 @@ def match_nams(
     ascending-index tie-break.
     """
     faces = as_box_array(faces)
-    assignment, ious = _first_step_core(grid, faces, params)
+    ious = pairwise_iou(grid.boxes, faces)  # (N, F)
+    assignment = first_step_from_ious(grid, faces, ious, params)
     if isinstance(params.nams_top_n_mode, str):
         counts = assignment.matched_count[assignment.matched_count > 0]
         top_n = max(1, int(np.floor(counts.mean()))) if counts.size else 1

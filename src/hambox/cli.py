@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -21,14 +22,7 @@ import numpy as np
 
 from . import __version__
 from .anchors import cover_image_size, generate_anchors
-from .assignment import (
-    SOURCE_NAMES,
-    SOURCE_STEP1,
-    Assignment,
-    match_first_step,
-    match_nams,
-    match_two_step,
-)
+from .assignment import SOURCE_NAMES, SOURCE_STEP1, match_first_step, match_nams, match_two_step
 from .geometry import elementwise_iou
 from .ingest import (
     ConfigError,
@@ -39,16 +33,9 @@ from .ingest import (
     load_config,
     load_wider_annotations,
 )
-from .losses import LossParams, cls_loss_grad, sigmoid
-from .mining import compensate, compute_quality, ignore_mask
-from .simulator import (
-    RegressorModel,
-    linear_ramp,
-    run_simulation,
-    simulate_regression,
-    synthetic_dataset,
-)
-from .stats import EmptyDatasetError, scale_ratio_sweep
+from .losses import gradient_check
+from .simulator import RegressorModel, linear_ramp, mine_image, run_simulation, synthetic_dataset
+from .stats import EmptyDatasetError, provenance_csv, scale_ratio_sweep
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -80,10 +67,7 @@ def _write_manifest(out_dir: Path, cfg: ToolConfig, seed: int, outputs: Sequence
 
 
 def _load_dataset(annotations: str, min_side: float) -> list[ImageRecord]:
-    records = load_wider_annotations(annotations)
-    if min_side > 0:
-        records = filter_valid(records, min_side)
-    return records
+    return filter_valid(load_wider_annotations(annotations), min_side)
 
 
 def _parse_ratio_spec(spec: str) -> list[float]:
@@ -143,11 +127,8 @@ def _assign_image(
     sim_quality: float,
     stream: int,
 ) -> list[str]:
-    from .stats import valid_face_boxes
-
-    faces = valid_face_boxes(record)
-    w, h = cover_image_size(faces, cfg.anchors)
-    grid = generate_anchors(cfg.anchors, w, h)
+    faces = record.face_boxes()
+    grid = generate_anchors(cfg.anchors, *cover_image_size(faces, cfg.anchors))
     ignore = None
     claim_iou = None
     if strategy == "sms":
@@ -157,19 +138,14 @@ def _assign_image(
     elif strategy == "nams":
         assignment = match_nams(grid, faces, cfg.match)
     else:  # hambox: compensation against simulated predictions
-        model = RegressorModel(q=sim_quality, noise_sigma=0.0, seed=seed)
-        regressed = simulate_regression(grid, faces, model, iteration=0, stream=stream)
-        first = match_first_step(grid, faces, cfg.match)
-        assignment = compensate(first, grid, faces, regressed, cfg.compensation)
-        quality = compute_quality(regressed, faces)
-        ignore = ignore_mask(assignment, quality)
+        model = RegressorModel(q=sim_quality, noise_sigma=cfg.simulator.noise_sigma, seed=seed)
+        mined = next(mine_image(grid, faces, model, 1, stream, cfg.match, cfg.compensation))
+        assignment, ignore = mined.assigned, mined.ignore
         comp = assignment.source > SOURCE_STEP1
         claim_iou = np.zeros(len(grid))
         if np.any(comp):
-            claim_iou[comp] = elementwise_iou(
-                regressed[comp], faces[assignment.face_of[comp]]
-            )
-        claim_iou[ignore] = quality.F[ignore]
+            claim_iou[comp] = elementwise_iou(mined.regressed[comp], faces[assignment.face_of[comp]])
+        claim_iou[ignore] = mined.quality.F[ignore]
 
     lines = []
     pos = np.flatnonzero(assignment.face_of >= 0)
@@ -226,7 +202,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: ToolConfig) -> int:
     if sim.quality_ramp is not None:
         ramp = linear_ramp(sim.quality_ramp[0], sim.quality_ramp[1], args.iters)
     model = RegressorModel(q=sim.q, noise_sigma=sim.noise_sigma, seed=seed, quality_ramp=ramp)
-    records = run_simulation(
+    records, report = run_simulation(
         dataset,
         cfg.anchors,
         cfg.compensation,
@@ -238,6 +214,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: ToolConfig) -> int:
         scorer_scale=sim.score_scale,
         scorer_bias=sim.score_bias,
         threads=args.threads,
+        provenance=args.provenance,
     )
     lines = ["iter,cls_com,cls_norm,loc_com,loc_norm,n_com,mean_com_iou,n_ignored"]
     for r in records:
@@ -249,99 +226,12 @@ def cmd_simulate(args: argparse.Namespace, cfg: ToolConfig) -> int:
     out = Path(args.out) / "simulation.csv"
     _write_output(out, "\n".join(lines) + "\n")
     outputs = [out]
-    if args.provenance:
+    if report is not None:
         prov = Path(args.out) / "provenance.csv"
-        _write_output(
-            prov, _final_iteration_provenance(dataset, cfg, model, args.iters, image_size)
-        )
+        _write_output(prov, provenance_csv(report))
         outputs.append(prov)
     _write_manifest(Path(args.out), cfg, seed, outputs)
     return EXIT_OK
-
-
-def _final_iteration_provenance(dataset, cfg: ToolConfig, model, n_iters: int, image_size) -> str:
-    """Pooled first-step provenance of the run's last iteration."""
-    from .stats import combine_reports, provenance_csv, provenance_report, valid_face_boxes
-
-    reports = []
-    for stream, rec in enumerate(dataset):
-        faces = valid_face_boxes(rec)
-        w, h = image_size if image_size is not None else cover_image_size(faces, cfg.anchors)
-        grid = generate_anchors(cfg.anchors, w, h)
-        regressed = simulate_regression(grid, faces, model, n_iters - 1, stream=stream)
-        assignment = match_first_step(grid, faces, cfg.match)
-        quality = compute_quality(regressed, faces)
-        scores = np.asarray(
-            sigmoid(cfg.simulator.score_scale * quality.F + cfg.simulator.score_bias)
-        )
-        reports.append(provenance_report(assignment, grid, quality, regressed, scores, faces, 0.5))
-    return provenance_csv(combine_reports(reports))
-
-
-def gradient_check(seed: int, trials: int, corrupt: bool = False) -> tuple[float, dict]:
-    """Max relative error between analytic and central-difference gradients.
-
-    Random instances include compensated anchors and nonempty ignore masks.
-    `corrupt` perturbs the analytic gradient, for validating that the check
-    can fail.
-    """
-    from .assignment import BACKGROUND, SOURCE_HAMBOX, SOURCE_STEP1, SOURCE_NONE
-    from .mining import AnchorQuality
-    from .losses import regression_aware_cls_loss
-
-    rng = np.random.default_rng(seed)
-    h = 1e-4
-    worst = 0.0
-    worst_case: dict = {}
-    for trial in range(trials):
-        n = int(rng.integers(8, 40))
-        source = rng.choice(
-            [SOURCE_NONE, SOURCE_STEP1, SOURCE_HAMBOX], size=n, p=[0.6, 0.25, 0.15]
-        ).astype(np.uint8)
-        face_of = np.where(source == SOURCE_NONE, BACKGROUND, rng.integers(0, 3, size=n))
-        assignment = Assignment(
-            face_of=face_of.astype(np.int64),
-            targets=np.zeros((n, 4)),
-            source=source,
-            matched_count=np.bincount(face_of[face_of >= 0], minlength=3).astype(np.int64),
-        )
-        f_vals = rng.uniform(0.0, 1.0, size=n)
-        quality = AnchorQuality(
-            F=f_vals, high_quality=f_vals >= 0.5, best_face=np.zeros(n, dtype=np.int64)
-        )
-        ignore = (source == SOURCE_NONE) & quality.high_quality
-        params = LossParams(
-            alpha=float(rng.uniform(0.1, 0.9)),
-            gamma=float(rng.choice([0.0, 1.0, 2.0, 3.0])),
-        )
-        logits = rng.uniform(-3.0, 3.0, size=n)
-        grad = cls_loss_grad(logits, assignment, quality, ignore, params)
-        if corrupt:
-            grad = grad + 1e-3
-
-        def loss_at(z: np.ndarray) -> float:
-            return regression_aware_cls_loss(
-                np.asarray(sigmoid(z)), assignment, quality, ignore, params
-            ).cls_total
-
-        fd = np.zeros(n)
-        for j in range(n):
-            zp = logits.copy()
-            zm = logits.copy()
-            zp[j] += h
-            zm[j] -= h
-            fd[j] = (loss_at(zp) - loss_at(zm)) / (2 * h)
-        rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
-        idx = int(np.argmax(rel))
-        if rel[idx] > worst:
-            worst = float(rel[idx])
-            worst_case = {
-                "trial": trial,
-                "anchor": idx,
-                "analytic": float(grad[idx]),
-                "finite_difference": float(fd[idx]),
-            }
-    return worst, worst_case
 
 
 def cmd_loss_check(args: argparse.Namespace, cfg: ToolConfig) -> int:
@@ -418,20 +308,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     if args.seed is None and args.command != "simulate":
         args.seed = cfg.simulator.seed
-    if getattr(args, "T", None) is not None or getattr(args, "K", None) is not None:
-        from dataclasses import replace
-
-        from .mining import CompensationParams
-
+    overrides = {k: getattr(args, k) for k in ("T", "K") if getattr(args, k, None) is not None}
+    if overrides:
         try:
-            comp = CompensationParams(
-                T=args.T if args.T is not None else cfg.compensation.T,
-                K=args.K if args.K is not None else cfg.compensation.K,
-            )
+            cfg = replace(cfg, compensation=replace(cfg.compensation, **overrides))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        cfg = replace(cfg, compensation=comp)
     try:
         return args.func(args, cfg)
     except FileNotFoundError as exc:

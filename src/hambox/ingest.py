@@ -322,7 +322,7 @@ _SECTION_KEYS = {
 
 def parse_config(text: str) -> ToolConfig:
     """Parse and validate configuration text; unset keys take their defaults."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import BACKGROUND, SOURCE_HAMBOX, SOURCE_STEP1, Assignment
+from .assignment import BACKGROUND, SOURCE_HAMBOX, SOURCE_NONE, SOURCE_STEP1, Assignment
 from .mining import HIGH_QUALITY_IOU, AnchorQuality
 
 PROB_EPS = 1e-12  # probabilities are clamped to [PROB_EPS, 1 - PROB_EPS]
@@ -209,3 +209,62 @@ def cls_loss_grad(
         grad[step1_pos] += _focal_grad_wrt_logit(p[step1_pos], 1, params) / n_norm
         grad[background] += _focal_grad_wrt_logit(p[background], 0, params) / n_norm
     return grad
+
+
+def gradient_check(seed: int, trials: int, corrupt: bool = False) -> tuple[float, dict]:
+    """Max relative error between analytic and central-difference gradients.
+
+    Random instances include compensated anchors and nonempty ignore masks.
+    `corrupt` perturbs the analytic gradient, for validating that the check
+    can fail.
+    """
+    rng = np.random.default_rng(seed)
+    h = 1e-4
+    worst = 0.0
+    worst_case: dict = {}
+    for trial in range(trials):
+        n = int(rng.integers(8, 40))
+        source = rng.choice(
+            [SOURCE_NONE, SOURCE_STEP1, SOURCE_HAMBOX], size=n, p=[0.6, 0.25, 0.15]
+        ).astype(np.uint8)
+        face_of = np.where(source == SOURCE_NONE, BACKGROUND, rng.integers(0, 3, size=n))
+        assignment = Assignment(
+            face_of=face_of.astype(np.int64),
+            targets=np.zeros((n, 4)),
+            source=source,
+            matched_count=np.bincount(face_of[face_of >= 0], minlength=3).astype(np.int64),
+        )
+        quality = AnchorQuality(F=rng.uniform(0.0, 1.0, size=n))
+        ignore = (source == SOURCE_NONE) & (quality.F >= HIGH_QUALITY_IOU)
+        params = LossParams(
+            alpha=float(rng.uniform(0.1, 0.9)),
+            gamma=float(rng.choice([0.0, 1.0, 2.0, 3.0])),
+        )
+        logits = rng.uniform(-3.0, 3.0, size=n)
+        grad = cls_loss_grad(logits, assignment, quality, ignore, params)
+        if corrupt:
+            grad = grad + 1e-3
+
+        def loss_at(z: np.ndarray) -> float:
+            return regression_aware_cls_loss(
+                np.asarray(sigmoid(z)), assignment, quality, ignore, params
+            ).cls_total
+
+        fd = np.zeros(n)
+        for j in range(n):
+            zp = logits.copy()
+            zm = logits.copy()
+            zp[j] += h
+            zm[j] -= h
+            fd[j] = (loss_at(zp) - loss_at(zm)) / (2 * h)
+        rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
+        idx = int(np.argmax(rel))
+        if rel[idx] > worst:
+            worst = float(rel[idx])
+            worst_case = {
+                "trial": trial,
+                "anchor": idx,
+                "analytic": float(grad[idx]),
+                "finite_difference": float(fd[idx]),
+            }
+    return worst, worst_case

@@ -46,13 +46,10 @@ class AnchorQuality:
     """Per-anchor regression quality.
 
     `F[i]` is the best IoU between anchor i's regressed box and any face
-    (0 with no faces); `high_quality` flags F >= 0.5; `best_face` is the
-    argmax face index, or -1 when there are no faces.
+    (0 with no faces); anchors with F >= HIGH_QUALITY_IOU regress well.
     """
 
     F: np.ndarray = field(repr=False)  # (N,) float64
-    high_quality: np.ndarray = field(repr=False)  # (N,) bool
-    best_face: np.ndarray = field(repr=False)  # (N,) int64
 
 
 def regress_all(grid: AnchorGrid, deltas: Sequence | np.ndarray) -> np.ndarray:
@@ -69,19 +66,14 @@ def compute_quality(
     regressed: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarray
 ) -> AnchorQuality:
     """Score every regressed box by its best IoU against the faces."""
-    regressed = as_box_array(regressed)
-    faces = as_box_array(faces)
-    n = regressed.shape[0]
-    if faces.shape[0] == 0:
-        return AnchorQuality(
-            F=np.zeros(n),
-            high_quality=np.zeros(n, dtype=bool),
-            best_face=np.full(n, -1, dtype=np.int64),
-        )
-    ious = pairwise_iou(regressed, faces)
-    best_face = np.argmax(ious, axis=1).astype(np.int64)
-    f = ious[np.arange(n), best_face]
-    return AnchorQuality(F=f, high_quality=f >= HIGH_QUALITY_IOU, best_face=best_face)
+    return _quality(pairwise_iou(as_box_array(regressed), as_box_array(faces)))
+
+
+def _quality(ious: np.ndarray) -> AnchorQuality:
+    """compute_quality on the (N, F) regressed-by-face IoU matrix."""
+    if ious.shape[1] == 0:
+        return AnchorQuality(F=np.zeros(ious.shape[0]))
+    return AnchorQuality(F=ious.max(axis=1))
 
 
 def compensate(
@@ -113,19 +105,30 @@ def compensate(
     if not np.all(np.isin(assignment.source, (SOURCE_NONE, SOURCE_STEP1))):
         raise ValueError("compensate requires a first-step-only assignment")
 
+    return _compensate(assignment, grid, faces, pairwise_iou(regressed, faces), params)
+
+
+def _compensate(
+    assignment: Assignment,
+    grid: AnchorGrid,
+    faces: np.ndarray,
+    ious: np.ndarray,
+    params: CompensationParams,
+) -> Assignment:
+    """compensate on the (N, F) regressed-by-face IoU matrix."""
     out = assignment.copy()
-    if faces.shape[0] == 0:
-        return out
     step1_count = assignment.matched_count  # budgets use first-step counts only
-    ious = pairwise_iou(faces, regressed)  # (F, N)
+    # Strictly-above-T admission lets the descending scan stop at T, so only
+    # candidates above T need sorting at all. Transposed, the (face, anchor)
+    # pairs come grouped by face with anchors ascending.
+    cand_face, cand_anchor = np.nonzero(ious.T > params.T)
+    bounds = np.searchsorted(cand_face, np.arange(faces.shape[0] + 1))
     for fi in range(faces.shape[0]):
         if step1_count[fi] >= params.K:
             continue
         budget = params.K - int(step1_count[fi])
-        # Strictly-above-T admission lets the descending scan stop at T, so
-        # only candidates above T need sorting at all.
-        candidates = np.flatnonzero(ious[fi] > params.T)
-        order = candidates[np.lexsort((candidates, -ious[fi, candidates]))]
+        candidates = cand_anchor[bounds[fi] : bounds[fi + 1]]
+        order = candidates[np.lexsort((candidates, -ious[candidates, fi]))]
         for anchor in order:
             if out.face_of[anchor] != BACKGROUND:
                 continue
@@ -152,4 +155,4 @@ def ignore_mask(assignment: Assignment, quality: AnchorQuality) -> np.ndarray:
         raise ValueError(
             f"quality covers {quality.F.shape[0]} anchors, assignment has {assignment.n_anchors}"
         )
-    return quality.high_quality & (assignment.face_of == BACKGROUND)
+    return (quality.F >= HIGH_QUALITY_IOU) & (assignment.face_of == BACKGROUND)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .anchors import (
     default_hambox_config,
     generate_anchors,
 )
-from .assignment import SOURCE_HAMBOX, Assignment, MatchParams, match_first_step
+from .assignment import SOURCE_HAMBOX, Assignment, MatchParams, first_step_from_ious
 from .geometry import Box, as_box_array, elementwise_iou, encode_boxes, pairwise_iou
 from .ingest import FaceAnnotation, ImageRecord
 from .losses import (
@@ -41,10 +41,11 @@ from .losses import (
 from .mining import (
     AnchorQuality,
     CompensationParams,
-    compensate,
-    compute_quality,
+    _compensate,
+    _quality,
     ignore_mask,
 )
+from .stats import ProvenanceReport, combine_reports, provenance_report
 
 _MIN_BOX_SIDE = 1e-6  # jittered corners may not invert a box
 
@@ -115,19 +116,33 @@ def simulate_regression(
     height (y coordinates). `stream` separates images sharing a seed.
     """
     faces = as_box_array(faces)
+    ref, overlap = _pull_targets(grid.boxes, faces, pairwise_iou(grid.boxes, faces))
+    return _regress(grid.boxes, ref, overlap, model, iteration, stream)
+
+
+def _pull_targets(
+    boxes: np.ndarray, faces: np.ndarray, ious: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each anchor's reference box (its best-IoU face, or itself) and whether it overlaps a face."""
+    if faces.shape[0] == 0:
+        return boxes, np.zeros(boxes.shape[0], dtype=bool)
+    best = np.argmax(ious, axis=1)
+    overlap = ious[np.arange(boxes.shape[0]), best] > 0.0
+    return np.where(overlap[:, None], faces[best], boxes), overlap
+
+
+def _regress(
+    boxes: np.ndarray,
+    ref: np.ndarray,
+    overlap: np.ndarray,
+    model: RegressorModel,
+    iteration: int,
+    stream: int,
+) -> np.ndarray:
     q = model.q_at(iteration)
-    boxes = grid.boxes
-    out = boxes.copy()
-    ref = boxes
-    if faces.shape[0]:
-        ious = pairwise_iou(boxes, faces)
-        best = np.argmax(ious, axis=1)
-        overlap = ious[np.arange(len(grid)), best] > 0.0
-        pulled = faces[best]
-        out = np.where(overlap[:, None], boxes + q * (pulled - boxes), boxes)
-        ref = np.where(overlap[:, None], pulled, boxes)
+    out = np.where(overlap[:, None], boxes + q * (ref - boxes), boxes)
     if model.noise_sigma > 0.0:
-        noise = _keyed_normals(model.seed, iteration, stream, (len(grid), 4))
+        noise = _keyed_normals(model.seed, iteration, stream, boxes.shape)
         ref_w = ref[:, 2] - ref[:, 0]
         ref_h = ref[:, 3] - ref[:, 1]
         scale = np.stack([ref_w, ref_h, ref_w, ref_h], axis=1) * model.noise_sigma
@@ -175,43 +190,48 @@ def synthetic_dataset(
     return records
 
 
-def _image_iteration(
+@dataclass(frozen=True)
+class MinedIteration:
+    """One iteration of the per-image mining sequence."""
+
+    iteration: int
+    first: Assignment  # first matching step, shared by every iteration
+    assigned: Assignment  # first step plus online compensation
+    regressed: np.ndarray  # (N, 4) predicted boxes
+    quality: AnchorQuality
+    ignore: np.ndarray  # (N,) bool
+
+
+def mine_image(
     grid: AnchorGrid,
-    faces: np.ndarray,
+    faces: Sequence[Box] | np.ndarray,
     model: RegressorModel,
-    iteration: int,
+    n_iters: int,
     stream: int,
-    match_params: MatchParams,
-    comp_params: CompensationParams,
-    loss_params: LossParams,
-    scorer_scale: float,
-    scorer_bias: float,
-) -> tuple[float, float, float, float, int, float, int]:
-    regressed = simulate_regression(grid, faces, model, iteration, stream=stream)
-    first = match_first_step(grid, faces, match_params)
-    assigned = compensate(first, grid, faces, regressed, comp_params)
-    quality = compute_quality(regressed, faces)
-    ignored = ignore_mask(assigned, quality)
-    probs = sigmoid(scorer_scale * quality.F + scorer_bias)
-    cls = regression_aware_cls_loss(probs, assigned, quality, ignored, loss_params)
-    pred_deltas = encode_boxes(grid.boxes, regressed)
-    loc = location_loss(pred_deltas, assigned, loss_params)
-    comp_mask = assigned.source == SOURCE_HAMBOX
-    n_com = int(comp_mask.sum())
-    com_iou_sum = 0.0
-    if n_com:
-        com_iou_sum = float(
-            np.sum(elementwise_iou(regressed[comp_mask], faces[assigned.face_of[comp_mask]]))
-        )
-    return (
-        cls.cls_compensated,
-        cls.cls_normal,
-        loc.loc_compensated,
-        loc.loc_normal,
-        n_com,
-        com_iou_sum,
-        int(ignored.sum()),
-    )
+    match: MatchParams,
+    comp: CompensationParams,
+) -> Iterator[MinedIteration]:
+    """Yield the mining sequence of one image for iterations 0 .. n_iters - 1.
+
+    Per iteration: regress, compensate the first step above T up to K, score
+    quality and build the ignore mask. The first step and each anchor's
+    best-face pull do not change between iterations; both come from one
+    anchor-by-face overlap, dropped before the first regressed-by-face
+    overlap is built. That one per iteration feeds both compensation and
+    quality, so at most one dense (anchors x faces) matrix is alive at once.
+    """
+    faces = as_box_array(faces)
+    ious = pairwise_iou(grid.boxes, faces)
+    first = first_step_from_ious(grid, faces, ious, match)
+    ref, overlap = _pull_targets(grid.boxes, faces, ious)
+    del ious
+    for t in range(n_iters):
+        regressed = _regress(grid.boxes, ref, overlap, model, t, stream)
+        ious = pairwise_iou(regressed, faces)
+        assigned = _compensate(first, grid, faces, ious, comp)
+        quality = _quality(ious)
+        del ious
+        yield MinedIteration(t, first, assigned, regressed, quality, ignore_mask(assigned, quality))
 
 
 def run_simulation(
@@ -226,56 +246,61 @@ def run_simulation(
     scorer_scale: float = 4.0,
     scorer_bias: float = -2.0,
     threads: int = 1,
-) -> list[SimulationRecord]:
+    provenance: bool = False,
+) -> tuple[list[SimulationRecord], ProvenanceReport | None]:
     """Run the mining pipeline over simulated training iterations.
 
-    Per iteration and image: simulate predictions, match, compensate, build
+    Per image and iteration: simulate predictions, match, compensate, build
     the quality/ignore signals, score with probability
     sigmoid(scorer_scale * F + scorer_bias), and evaluate both losses.
-    Loss terms and counts are summed over images; the compensated-IoU mean
-    pools all compensated anchors of the iteration. With `image_size` unset,
-    each image's grid is sized from its own annotations.
+    Loss terms and counts are summed over images in image order; the
+    compensated-IoU mean pools all compensated anchors of the iteration.
+    With `image_size` unset, each image's grid is sized from its own
+    annotations. Each image's grid lives only while that image runs.
+
+    Returns the per-iteration records and, with `provenance`, the pooled
+    first-step provenance report of the last iteration (else None).
     """
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
     match_params = match_params or MatchParams()
-    grids: list[AnchorGrid] = []
-    face_arrays: list[np.ndarray] = []
-    for rec in dataset:
-        faces = rec.face_boxes()
+
+    def work(i: int):
+        faces = dataset[i].face_boxes()
         w, h = image_size if image_size is not None else cover_image_size(faces, anchor_config)
-        grids.append(generate_anchors(anchor_config, w, h))
-        face_arrays.append(faces)
+        grid = generate_anchors(anchor_config, w, h)
+        rows = []
+        report = None
+        for it in mine_image(grid, faces, model, n_iters, i, match_params, comp_params):
+            probs = sigmoid(scorer_scale * it.quality.F + scorer_bias)
+            cls = regression_aware_cls_loss(probs, it.assigned, it.quality, it.ignore, loss_params)
+            loc = location_loss(encode_boxes(grid.boxes, it.regressed), it.assigned, loss_params)
+            comp_mask = it.assigned.source == SOURCE_HAMBOX
+            com_ious = elementwise_iou(it.regressed[comp_mask], faces[it.assigned.face_of[comp_mask]])
+            rows.append((
+                cls.cls_compensated,
+                cls.cls_normal,
+                loc.loc_compensated,
+                loc.loc_normal,
+                int(comp_mask.sum()),
+                float(np.sum(com_ious)),
+                int(it.ignore.sum()),
+            ))
+            if provenance and it.iteration == n_iters - 1:
+                report = provenance_report(it.first, grid, it.quality, it.regressed, probs, faces, 0.5)
+        return rows, report
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            per_image = list(pool.map(work, range(len(dataset))))
+    else:
+        per_image = [work(i) for i in range(len(dataset))]
 
     records: list[SimulationRecord] = []
     for t in range(n_iters):
-        def work(i: int):
-            return _image_iteration(
-                grids[i],
-                face_arrays[i],
-                model,
-                t,
-                i,
-                match_params,
-                comp_params,
-                loss_params,
-                scorer_scale,
-                scorer_bias,
-            )
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(work, range(len(dataset))))
-        else:
-            results = [work(i) for i in range(len(dataset))]
-
-        cls_com = sum(r[0] for r in results)
-        cls_norm = sum(r[1] for r in results)
-        loc_com = sum(r[2] for r in results)
-        loc_norm = sum(r[3] for r in results)
-        n_com = sum(r[4] for r in results)
-        iou_sum = sum(r[5] for r in results)
-        n_ign = sum(r[6] for r in results)
+        cls_com, cls_norm, loc_com, loc_norm, n_com, iou_sum, n_ign = (
+            sum(rows[t][k] for rows, _ in per_image) for k in range(7)
+        )
         records.append(
             SimulationRecord(
                 iteration=t,
@@ -288,7 +313,8 @@ def run_simulation(
                 n_ignored=n_ign,
             )
         )
-    return records
+    report = combine_reports([r for _, r in per_image]) if provenance else None
+    return records, report
 
 
 def optimize_logits(

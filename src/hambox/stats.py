@@ -21,7 +21,7 @@ from .anchors import AnchorConfig, AnchorGrid, cover_image_size, grid_shape
 from .assignment import BACKGROUND, SOURCE_STEP1, Assignment
 from .geometry import Box, as_box_array, elementwise_iou, nms
 from .ingest import ImageRecord
-from .mining import AnchorQuality
+from .mining import HIGH_QUALITY_IOU, AnchorQuality
 
 CPBB_IOU = 0.5  # a prediction is correct when it clears this IoU against some face
 
@@ -254,7 +254,7 @@ def provenance_report(
     cpbb = quality.F > CPBB_IOU
     n_cpbb = int(cpbb.sum())
     n_cpbb_matched = int((cpbb & step1).sum())
-    hq = quality.high_quality
+    hq = quality.F >= HIGH_QUALITY_IOU
     n_hq = int(hq.sum())
     n_hq_unmatched = int((hq & (assignment.face_of == BACKGROUND)).sum())
 

@@ -31,7 +31,7 @@ from hambox.losses import (
     regression_aware_cls_loss,
     sigmoid,
 )
-from hambox.mining import AnchorQuality, CompensationParams, compensate, compute_quality
+from hambox.mining import HIGH_QUALITY_IOU, AnchorQuality, CompensationParams, compensate, compute_quality
 from hambox.simulator import RegressorModel, linear_ramp, run_simulation, synthetic_dataset
 from hambox.stats import dataset_census, provenance_report
 
@@ -172,8 +172,8 @@ def test_criterion_05_gradient_check():
         )
         f = rng.uniform(0.0, 1.0, size=n)
         f[1] = 0.9  # nonempty ignore set
-        quality = AnchorQuality(F=f, high_quality=f >= 0.5, best_face=np.zeros(n, dtype=np.int64))
-        ignore = (source == SOURCE_NONE) & quality.high_quality
+        quality = AnchorQuality(F=f)
+        ignore = (source == SOURCE_NONE) & (quality.F >= HIGH_QUALITY_IOU)
         assert np.any(ignore)
         params = LossParams(
             alpha=float(rng.uniform(0.15, 0.85)), gamma=float(rng.choice([0.0, 1.0, 2.0]))
@@ -207,7 +207,7 @@ def test_criterion_06_loss_reductions():
         matched_count=np.bincount(face_of[face_of >= 0], minlength=1).astype(np.int64),
     )
     f = rng.uniform(0.0, 0.499, size=n)
-    quality = AnchorQuality(F=f, high_quality=f >= 0.5, best_face=np.zeros(n, dtype=np.int64))
+    quality = AnchorQuality(F=f)
     probs = rng.uniform(0.02, 0.98, size=n)
     params = LossParams()
     got = regression_aware_cls_loss(probs, assignment, quality, np.zeros(n, dtype=bool), params)
@@ -227,7 +227,7 @@ def test_criterion_06_loss_reductions():
         source=np.full(4, SOURCE_NONE, dtype=np.uint8),
         matched_count=np.zeros(0, dtype=np.int64),
     )
-    q0 = AnchorQuality(F=np.zeros(4), high_quality=np.zeros(4, dtype=bool), best_face=np.full(4, -1))
+    q0 = AnchorQuality(F=np.zeros(4))
     out = regression_aware_cls_loss([0.5] * 4, empty, q0, np.zeros(4, dtype=bool), params)
     assert out.cls_total == 0.0 and np.isfinite(out.cls_total)
     assert out.n_com == 0 and out.n_norm == 0
@@ -254,7 +254,7 @@ def test_criterion_08_simulator_narrative():
     model = RegressorModel(
         q=0.95, noise_sigma=0.0, seed=2008, quality_ramp=linear_ramp(0.0, 0.95, 50)
     )
-    records = run_simulation(
+    records, _ = run_simulation(
         dataset,
         default_hambox_config(),
         CompensationParams(T=0.8, K=3),
@@ -344,7 +344,7 @@ def test_criterion_10_determinism_across_threads(tmp_path):
         assert (
             main(
                 ["--out", str(sim_out), "--seed", "77", "--threads", threads,
-                 "simulate", "--synthetic-images", "6", "--iters", "4"]
+                 "simulate", "--synthetic-images", "6", "--iters", "4", "--provenance"]
             )
             == 0
         )
@@ -358,10 +358,12 @@ def test_criterion_10_determinism_across_threads(tmp_path):
         outputs[threads] = (
             (sim_out / "simulation.csv").read_bytes(),
             (asg_out / "assign.csv").read_bytes(),
+            (sim_out / "provenance.csv").read_bytes(),
         )
     assert outputs["1"][0] == outputs["4"][0], "simulate CSV differs across thread counts"
     assert outputs["1"][1] == outputs["4"][1], "assign CSV differs across thread counts"
-    _report(10, "simulate and assign CSVs byte-identical with 1 and 4 threads")
+    assert outputs["1"][2] == outputs["4"][2], "provenance CSV differs across thread counts"
+    _report(10, "simulate, provenance and assign CSVs byte-identical with 1 and 4 threads")
 
 
 def test_criterion_11_provenance_pipeline_on_prediction_dump():

@@ -177,6 +177,20 @@ class TestAssignCommand:
         main(["--out", str(b), "--seed", "5", "--threads", "4"] + argv)
         assert (a / "assign.csv").read_bytes() == (b / "assign.csv").read_bytes()
 
+    def test_hambox_honours_noise_sigma(self, tmp_path, annotations):
+        argv = ["--seed", "3", "assign", "--annotations", annotations, "--strategy", "hambox"]
+        outputs = {}
+        for name, sigma in (("default", None), ("zero", "0"), ("noisy", "0.2")):
+            out = tmp_path / name
+            config = []
+            if sigma is not None:
+                (tmp_path / f"{name}.ini").write_text(f"[simulator]\nnoise_sigma = {sigma}\n")
+                config = ["--config", str(tmp_path / f"{name}.ini")]
+            assert main(config + ["--out", str(out)] + argv) == 0
+            outputs[name] = (out / "assign.csv").read_bytes()
+        assert outputs["default"] == outputs["zero"]
+        assert outputs["noisy"] != outputs["zero"]
+
     def test_threshold_and_budget_overrides(self, tmp_path, annotations):
         strict = tmp_path / "strict"
         loose = tmp_path / "loose"
@@ -242,6 +256,19 @@ class TestSimulateCommand:
         assert code == 0
         assert len(read(out / "simulation.csv").splitlines()) == 3
 
+    def test_annotations_mode_drops_invalid_faces(self, tmp_path):
+        face = "100 150 28 28 0 0 0 0 0 0\n"
+        invalid = "300 60 20 24 0 0 0 1 0 0\n"
+        outputs = []
+        for name, text in (("one", f"a.jpg\n1\n{face}"), ("two", f"a.jpg\n2\n{face}{invalid}")):
+            gt = tmp_path / f"{name}.txt"
+            gt.write_text(text)
+            out = tmp_path / name
+            argv = ["--out", str(out), "--seed", "1", "simulate", "--annotations", str(gt), "--iters", "3"]
+            assert main(argv + ["--provenance"]) == 0
+            outputs.append(((out / "simulation.csv").read_bytes(), (out / "provenance.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_provenance_output(self, tmp_path):
         out = tmp_path / "run"
         code = main(
@@ -276,6 +303,12 @@ class TestConfigPlumb:
         cfg = tmp_path / "conf.ini"
         cfg.write_text("[compensation]\nt = 1.5\n")
         assert main(["--config", str(cfg), "anchors", "--width", "64", "--height", "64"]) == 2
+
+    def test_percent_in_config_value(self, tmp_path):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text("[data]\nannotations = /d/100%/gt.txt\n")
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out", str(out), "anchors", "--width", "64", "--height", "64"]) == 0
 
     def test_config_drives_anchor_grid(self, tmp_path):
         cfg = tmp_path / "conf.ini"

@@ -222,6 +222,11 @@ class TestConfig:
         cfg = ToolConfig()
         assert parse_config(dump_config(cfg)) == cfg
 
+    def test_percent_in_value_is_literal(self):
+        cfg = parse_config("[data]\nannotations = /d/100%/gt.txt\n")
+        assert cfg.data.annotations == "/d/100%/gt.txt"
+        assert parse_config(dump_config(cfg)) == cfg
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.ini")

@@ -13,7 +13,7 @@ from hambox.losses import (
     sigmoid_focal,
     smooth_l1,
 )
-from hambox.mining import AnchorQuality
+from hambox.mining import HIGH_QUALITY_IOU, AnchorQuality
 
 from .oracles import central_difference, focal_reference
 
@@ -36,7 +36,7 @@ def make_assignment(sources, face_of=None, n_faces=4, targets=None):
 
 def make_quality(f_values):
     f = np.asarray(f_values, dtype=np.float64)
-    return AnchorQuality(F=f, high_quality=f >= 0.5, best_face=np.zeros(f.shape[0], dtype=np.int64))
+    return AnchorQuality(F=f)
 
 
 class TestSigmoidFocal:
@@ -222,7 +222,7 @@ class TestClsLossGrad:
         a = make_assignment(sources)
         f = rng.uniform(0.0, 1.0, size=n)
         q = make_quality(f)
-        ignore = (sources == SOURCE_NONE) & q.high_quality
+        ignore = (sources == SOURCE_NONE) & (q.F >= HIGH_QUALITY_IOU)
         params = LossParams(
             alpha=float(rng.uniform(0.15, 0.85)), gamma=float(rng.choice([0.0, 1.0, 2.0]))
         )

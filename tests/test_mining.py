@@ -82,15 +82,11 @@ class TestComputeQuality:
         faces = np.array([[5.0, 5.0, 20.0, 20.0]])
         q = compute_quality(faces.copy(), faces)
         assert q.F[0] == 1.0
-        assert q.high_quality[0]
-        assert q.best_face[0] == 0
 
     def test_no_faces(self):
         regressed = np.array([[0.0, 0.0, 10.0, 10.0]])
         q = compute_quality(regressed, np.zeros((0, 4)))
         assert q.F.tolist() == [0.0]
-        assert not q.high_quality[0]
-        assert q.best_face[0] == -1
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(9)
@@ -100,8 +96,6 @@ class TestComputeQuality:
         for i in range(100):
             vals = [iou_reference(regressed[i], f) for f in faces]
             assert q.F[i] == pytest.approx(max(vals), rel=1e-12)
-            assert q.best_face[i] == int(np.argmax(vals))
-            assert q.high_quality[i] == (max(vals) >= 0.5)
 
 
 class TestCompensate:
@@ -322,7 +316,7 @@ class TestIgnoreMask:
         for _ in range(20):
             out, quality = self.build(rng)
             mask = ignore_mask(out, quality)
-            want = quality.high_quality & (out.face_of == BACKGROUND)
+            want = (quality.F >= 0.5) & (out.face_of == BACKGROUND)
             np.testing.assert_array_equal(mask, want)
             if np.any(want):
                 return
@@ -331,8 +325,6 @@ class TestIgnoreMask:
     def test_length_check(self):
         rng = np.random.default_rng(42)
         out, quality = self.build(rng)
-        short = AnchorQuality(
-            F=quality.F[:-1], high_quality=quality.high_quality[:-1], best_face=quality.best_face[:-1]
-        )
+        short = AnchorQuality(F=quality.F[:-1])
         with pytest.raises(ValueError, match="quality"):
             ignore_mask(out, short)

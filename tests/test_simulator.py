@@ -118,17 +118,17 @@ class TestRunSimulation:
         kwargs = dict(
             match_params=MatchParams(), image_size=(256, 256), scorer_scale=4.0, scorer_bias=-2.0
         )
-        a = run_simulation(dataset, cfg, CompensationParams(), LossParams(), model, 5, **kwargs)
-        b = run_simulation(dataset, cfg, CompensationParams(), LossParams(), model, 5, **kwargs)
+        a, _ = run_simulation(dataset, cfg, CompensationParams(), LossParams(), model, 5, **kwargs)
+        b, _ = run_simulation(dataset, cfg, CompensationParams(), LossParams(), model, 5, **kwargs)
         assert a == b
 
     def test_thread_count_does_not_change_results(self):
         cfg, dataset = self.small_setup()
         model = RegressorModel(q=0.9, noise_sigma=0.05, seed=5)
-        one = run_simulation(
+        one, _ = run_simulation(
             dataset, cfg, CompensationParams(), LossParams(), model, 4, image_size=(256, 256), threads=1
         )
-        four = run_simulation(
+        four, _ = run_simulation(
             dataset, cfg, CompensationParams(), LossParams(), model, 4, image_size=(256, 256), threads=4
         )
         assert one == four
@@ -140,7 +140,7 @@ class TestRunSimulation:
         model = RegressorModel(
             q=0.9, noise_sigma=0.0, seed=9, quality_ramp=linear_ramp(0.0, 0.95, 30)
         )
-        records = run_simulation(
+        records, _ = run_simulation(
             dataset, cfg, CompensationParams(T=0.8, K=3), LossParams(), model, 30,
             image_size=(256, 256),
         )
@@ -192,7 +192,7 @@ class TestRunSimulation:
         cfg, dataset = self.small_setup()
         comp_params = CompensationParams(T=0.8, K=3)
         model = RegressorModel(q=0.92, noise_sigma=0.0, seed=6)
-        records = run_simulation(
+        records, _ = run_simulation(
             dataset, cfg, comp_params, LossParams(), model, 3, image_size=(256, 256)
         )
         for t in range(3):
