@@ -25,6 +25,7 @@ from .anchors import cover_image_size, generate_anchors
 from .assignment import SOURCE_NAMES, SOURCE_STEP1, match_first_step, match_nams, match_two_step
 from .geometry import elementwise_iou
 from .ingest import (
+    STRATEGIES,
     ConfigError,
     ImageRecord,
     ToolConfig,
@@ -67,7 +68,10 @@ def _write_manifest(out_dir: Path, cfg: ToolConfig, seed: int, outputs: Sequence
 
 
 def _load_dataset(annotations: str, min_side: float) -> list[ImageRecord]:
-    return filter_valid(load_wider_annotations(annotations), min_side)
+    records = filter_valid(load_wider_annotations(annotations), min_side)
+    if not any(rec.faces for rec in records):
+        raise EmptyDatasetError(f"no valid faces in {annotations}")
+    return records
 
 
 def _parse_ratio_spec(spec: str) -> list[float]:
@@ -119,26 +123,19 @@ def cmd_match_stats(args: argparse.Namespace, cfg: ToolConfig) -> int:
     return EXIT_OK
 
 
-def _assign_image(
-    record: ImageRecord,
-    cfg: ToolConfig,
-    strategy: str,
-    seed: int,
-    sim_quality: float,
-    stream: int,
-) -> list[str]:
+def _assign_image(record: ImageRecord, cfg: ToolConfig, seed: int, stream: int) -> list[str]:
     faces = record.face_boxes()
     grid = generate_anchors(cfg.anchors, *cover_image_size(faces, cfg.anchors))
     ignore = None
     claim_iou = None
-    if strategy == "sms":
+    if cfg.strategy == "sms":
         assignment = match_first_step(grid, faces, cfg.match)
-    elif strategy == "dms":
+    elif cfg.strategy == "dms":
         assignment = match_two_step(grid, faces, cfg.match)
-    elif strategy == "nams":
+    elif cfg.strategy == "nams":
         assignment = match_nams(grid, faces, cfg.match)
     else:  # hambox: compensation against simulated predictions
-        model = RegressorModel(q=sim_quality, noise_sigma=cfg.simulator.noise_sigma, seed=seed)
+        model = RegressorModel(q=cfg.simulator.q, noise_sigma=cfg.simulator.noise_sigma, seed=seed)
         mined = next(mine_image(grid, faces, model, 1, stream, cfg.match, cfg.compensation))
         assignment, ignore = mined.assigned, mined.ignore
         comp = assignment.source > SOURCE_STEP1
@@ -169,11 +166,10 @@ def _assign_image(
 
 
 def cmd_assign(args: argparse.Namespace, cfg: ToolConfig) -> int:
-    strategy = args.strategy or cfg.strategy
     records = _load_dataset(args.annotations, cfg.data.min_side)
 
     def work(i: int) -> list[str]:
-        return _assign_image(records[i], cfg, strategy, args.seed, args.sim_quality, i)
+        return _assign_image(records[i], cfg, args.seed, i)
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -191,17 +187,16 @@ def cmd_assign(args: argparse.Namespace, cfg: ToolConfig) -> int:
 
 def cmd_simulate(args: argparse.Namespace, cfg: ToolConfig) -> int:
     sim = cfg.simulator
-    seed = args.seed if args.seed is not None else sim.seed
     if args.annotations:
         dataset = _load_dataset(args.annotations, cfg.data.min_side)
         image_size = None
     else:
-        dataset = synthetic_dataset(args.synthetic_images, seed=seed)
+        dataset = synthetic_dataset(args.synthetic_images, seed=args.seed)
         image_size = (640, 640)
     ramp = None
     if sim.quality_ramp is not None:
         ramp = linear_ramp(sim.quality_ramp[0], sim.quality_ramp[1], args.iters)
-    model = RegressorModel(q=sim.q, noise_sigma=sim.noise_sigma, seed=seed, quality_ramp=ramp)
+    model = RegressorModel(q=sim.q, noise_sigma=sim.noise_sigma, seed=args.seed, quality_ramp=ramp)
     records, report = run_simulation(
         dataset,
         cfg.anchors,
@@ -230,7 +225,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: ToolConfig) -> int:
         prov = Path(args.out) / "provenance.csv"
         _write_output(prov, provenance_csv(report))
         outputs.append(prov)
-    _write_manifest(Path(args.out), cfg, seed, outputs)
+    _write_manifest(Path(args.out), cfg, args.seed, outputs)
     return EXIT_OK
 
 
@@ -252,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Anchor mining pipeline: grids, matching strategies, losses, statistics.",
     )
     parser.add_argument("--config", help="path to INI config file")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument("--seed", type=int, default=None, help="seed override (default: [simulator] seed)")
     parser.add_argument("--threads", type=int, default=1, help="worker threads for per-image work")
     parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -269,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assign", help="dump per-image assignments")
     p.add_argument("--annotations", required=True)
-    p.add_argument("--strategy", choices=("sms", "dms", "nams", "hambox"), default=None)
-    p.add_argument("--sim-quality", type=float, default=0.9, help="regressor quality for hambox")
+    p.add_argument("--strategy", choices=STRATEGIES, default=None, help="matcher override")
+    p.add_argument("--sim-quality", type=float, default=None, help="regressor quality q override for hambox")
     p.add_argument("--T", type=float, default=None, help="online admission threshold override")
     p.add_argument("--K", type=int, default=None, help="per-face positive budget override")
     p.set_defaults(func=cmd_assign)
@@ -306,15 +301,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is None and args.command != "simulate":
+    if args.seed is None:
         args.seed = cfg.simulator.seed
-    overrides = {k: getattr(args, k) for k in ("T", "K") if getattr(args, k, None) is not None}
-    if overrides:
-        try:
-            cfg = replace(cfg, compensation=replace(cfg.compensation, **overrides))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    # Override flags land in cfg, validated like config values, so commands
+    # and the manifest see one config.
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    try:
+        if "strategy" in flags:
+            cfg = replace(cfg, strategy=flags["strategy"])
+        if "sim_quality" in flags:
+            cfg = replace(cfg, simulator=replace(cfg.simulator, q=flags["sim_quality"]))
+        comp = {k: flags[k] for k in ("T", "K") if k in flags}
+        cfg = replace(cfg, compensation=replace(cfg.compensation, **comp))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args, cfg)
     except FileNotFoundError as exc:

@@ -6,9 +6,10 @@ space-separated integers per face (``x y w h blur expression illumination
 invalid occlusion pose``). A block declaring zero faces is followed by a
 single all-zero placeholder line, which is consumed and discarded.
 
-Configuration is a sectioned key-value (INI) file; every key is optional and
-defaults match the tool's standard operating point. Unknown sections or keys
-are rejected by name.
+Configuration is a sectioned key-value (INI) file read off the fields of
+:class:`ToolConfig` (see ``_ini_view``); every key is optional and defaults to
+its value in ``ToolConfig()``. Unknown sections or keys and non-finite
+numbers are rejected by name.
 """
 
 from __future__ import annotations
@@ -16,18 +17,14 @@ from __future__ import annotations
 import configparser
 import io
 import logging
-from dataclasses import dataclass, field, fields as dataclass_fields
+import math
+from dataclasses import dataclass, field, fields as dataclass_fields, is_dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .anchors import (
-    DEFAULT_BASE_SCALES,
-    DEFAULT_SCALE_RATIO,
-    DEFAULT_STRIDES,
-    AnchorConfig,
-)
+from .anchors import AnchorConfig, default_hambox_config
 from .assignment import MatchParams
 from .geometry import Box
 from .losses import LossParams
@@ -288,12 +285,7 @@ class DataSettings:
 
 @dataclass(frozen=True)
 class ToolConfig:
-    anchors: AnchorConfig = field(
-        default_factory=lambda: AnchorConfig(
-            levels=tuple(zip(DEFAULT_STRIDES, DEFAULT_BASE_SCALES)),
-            scale_ratio=DEFAULT_SCALE_RATIO,
-        )
-    )
+    anchors: AnchorConfig = field(default_factory=default_hambox_config)
     strategy: str = "sms"
     match: MatchParams = field(default_factory=MatchParams)
     compensation: CompensationParams = field(default_factory=CompensationParams)
@@ -306,128 +298,109 @@ class ToolConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw.strip()!r}")
+    return value
 
 
-_SECTION_KEYS = {
-    "anchors": ("strides", "base_scales", "scale_ratio", "aspect_ratio"),
-    "match": ("strategy", "iou_threshold", "nams_stage2_floor", "nams_top_n_mode"),
-    "compensation": ("t", "k"),
-    "loss": ("alpha", "gamma", "smooth_l1_beta"),
-    "simulator": ("q", "noise_sigma", "seed", "quality_ramp", "score_scale", "score_bias"),
-    "data": ("annotations", "min_side"),
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(_finite_float(v) for v in raw.replace(",", " ").split())
+
+
+def _top_n_mode(raw: str) -> str | int:
+    raw = raw.strip()
+    return raw if raw == "mean_matched" else int(raw)
+
+
+def _ramp(raw: str) -> tuple[float, float]:
+    parts = raw.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"quality_ramp must be 'start:end', got {raw!r}")
+    return _finite_float(parts[0]), _finite_float(parts[1])
+
+
+# (decode, encode) for INI keys whose text is not one int or float.
+_CODECS = {
+    "strides": (_float_list, lambda v: ", ".join(map(repr, v))),
+    "base_scales": (_float_list, lambda v: ", ".join(map(repr, v))),
+    "strategy": (lambda raw: raw.strip().lower(), str),
+    "nams_top_n_mode": (_top_n_mode, str),
+    "quality_ramp": (_ramp, lambda v: ":".join(repr(float(x)) for x in v)),
+    "annotations": (str, str),
 }
 
 
+def _ini_view(cfg: ToolConfig) -> dict[str, dict[str, object]]:
+    """Section -> key -> value view of `cfg`, the schema of the INI file.
+
+    Each section is the ToolConfig field of that name, and its keys are that
+    dataclass's field names, lowercased, with float fields as floats.
+    `[anchors]` spells `levels` as `strides` plus `base_scales`, and `[match]`
+    also holds `ToolConfig.strategy`.
+    """
+    view = {}
+    for section in dataclass_fields(cfg):
+        obj = getattr(cfg, section.name)
+        if is_dataclass(obj):
+            values = {f.name.lower(): (f.type, getattr(obj, f.name)) for f in dataclass_fields(obj)}
+            view[section.name] = {k: float(v) if t == "float" else v for k, (t, v) in values.items()}
+    levels = view["anchors"].pop("levels")
+    view["anchors"] = {
+        "strides": tuple(float(s) for s, _ in levels),
+        "base_scales": tuple(float(b) for _, b in levels),
+        **view["anchors"],
+    }
+    view["match"] = {"strategy": cfg.strategy, **view["match"]}
+    return view
+
+
 def parse_config(text: str) -> ToolConfig:
-    """Parse and validate configuration text; unset keys take their defaults."""
+    """Parse and validate configuration text; unset keys keep ToolConfig()'s values."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from None
 
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
+    base = ToolConfig()
+    view = _ini_view(base)
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in view:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
+        values = view[section]
+        for key, raw in parser[section].items():
+            if key not in values:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            try:
+                if key in _CODECS:
+                    values[key] = _CODECS[key][0](raw)
+                else:
+                    values[key] = int(raw) if isinstance(values[key], int) else _finite_float(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
 
-    def get(section: str, key: str, default: str | None = None) -> str | None:
-        return parser.get(section, key, fallback=default)
-
-    def build(section: str, key: str, converter, default):
-        raw = get(section, key)
-        if raw is None:
-            return default
-        try:
-            return converter(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from None
-
-    strides = build("anchors", "strides", _parse_float_list, tuple(float(s) for s in DEFAULT_STRIDES))
-    scales = build(
-        "anchors", "base_scales", _parse_float_list, tuple(float(s) for s in DEFAULT_BASE_SCALES)
-    )
+    strategy = view["match"].pop("strategy")
+    strides, scales = view["anchors"].pop("strides"), view["anchors"].pop("base_scales")
     if len(strides) != len(scales):
         raise ConfigError(
             f"[anchors] strides and base_scales must pair up, got {len(strides)} vs {len(scales)}"
         )
-    scale_ratio = build("anchors", "scale_ratio", float, DEFAULT_SCALE_RATIO)
-    aspect_ratio = build("anchors", "aspect_ratio", float, 1.0)
+    view["anchors"]["levels"] = tuple(zip(strides, scales))
+    sections = {}
+    for name, values in view.items():
+        obj = getattr(base, name)
+        try:
+            sections[name] = replace(obj, **{f.name: values[f.name.lower()] for f in dataclass_fields(obj)})
+        except ValueError as exc:
+            raise ConfigError(f"[{name}]: {exc}") from None
     try:
-        anchor_cfg = AnchorConfig(tuple(zip(strides, scales)), scale_ratio, aspect_ratio)
-    except ValueError as exc:
-        raise ConfigError(f"[anchors]: {exc}") from None
-
-    strategy = build("match", "strategy", str, "sms").strip().lower()
-
-    def top_n_mode(raw: str):
-        raw = raw.strip()
-        return raw if raw == "mean_matched" else int(raw)
-
-    try:
-        match = MatchParams(
-            iou_threshold=build("match", "iou_threshold", float, 0.35),
-            nams_stage2_floor=build("match", "nams_stage2_floor", float, 0.1),
-            nams_top_n_mode=build("match", "nams_top_n_mode", top_n_mode, "mean_matched"),
-        )
+        return replace(base, strategy=strategy, **sections)
     except ValueError as exc:
         raise ConfigError(f"[match]: {exc}") from None
-    try:
-        comp = CompensationParams(
-            T=build("compensation", "t", float, 0.8),
-            K=build("compensation", "k", int, 3),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[compensation]: {exc}") from None
-    try:
-        loss = LossParams(
-            alpha=build("loss", "alpha", float, 0.25),
-            gamma=build("loss", "gamma", float, 2.0),
-            smooth_l1_beta=build("loss", "smooth_l1_beta", float, 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[loss]: {exc}") from None
-
-    def ramp(raw: str) -> tuple[float, float]:
-        parts = raw.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"quality_ramp must be 'start:end', got {raw!r}")
-        return float(parts[0]), float(parts[1])
-
-    try:
-        sim = SimulatorSettings(
-            q=build("simulator", "q", float, 0.9),
-            noise_sigma=build("simulator", "noise_sigma", float, 0.0),
-            seed=build("simulator", "seed", int, 0),
-            quality_ramp=build("simulator", "quality_ramp", ramp, None),
-            score_scale=build("simulator", "score_scale", float, 4.0),
-            score_bias=build("simulator", "score_bias", float, -2.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[simulator]: {exc}") from None
-    try:
-        data = DataSettings(
-            annotations=build("data", "annotations", str, None),
-            min_side=build("data", "min_side", float, 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[data]: {exc}") from None
-    try:
-        return ToolConfig(
-            anchors=anchor_cfg,
-            strategy=strategy,
-            match=match,
-            compensation=comp,
-            loss=loss,
-            simulator=sim,
-            data=data,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def load_config(path: str | Path) -> ToolConfig:
@@ -440,43 +413,20 @@ def load_config(path: str | Path) -> ToolConfig:
 
 
 def dump_config(cfg: ToolConfig) -> str:
-    """Render a config back to INI text; parse_config(dump_config(c)) == c."""
-    lines = [
-        "[anchors]",
-        "strides = " + ", ".join(_num(s) for s, _ in cfg.anchors.levels),
-        "base_scales = " + ", ".join(_num(b) for _, b in cfg.anchors.levels),
-        f"scale_ratio = {_num(cfg.anchors.scale_ratio)}",
-        f"aspect_ratio = {_num(cfg.anchors.aspect_ratio)}",
-        "",
-        "[match]",
-        f"strategy = {cfg.strategy}",
-        f"iou_threshold = {_num(cfg.match.iou_threshold)}",
-        f"nams_stage2_floor = {_num(cfg.match.nams_stage2_floor)}",
-        f"nams_top_n_mode = {cfg.match.nams_top_n_mode}",
-        "",
-        "[compensation]",
-        f"t = {_num(cfg.compensation.T)}",
-        f"k = {cfg.compensation.K}",
-        "",
-        "[loss]",
-        f"alpha = {_num(cfg.loss.alpha)}",
-        f"gamma = {_num(cfg.loss.gamma)}",
-        f"smooth_l1_beta = {_num(cfg.loss.smooth_l1_beta)}",
-        "",
-        "[simulator]",
-        f"q = {_num(cfg.simulator.q)}",
-        f"noise_sigma = {_num(cfg.simulator.noise_sigma)}",
-        f"seed = {cfg.simulator.seed}",
-        f"score_scale = {_num(cfg.simulator.score_scale)}",
-        f"score_bias = {_num(cfg.simulator.score_bias)}",
-    ]
-    if cfg.simulator.quality_ramp is not None:
-        start, end = cfg.simulator.quality_ramp
-        lines.append(f"quality_ramp = {_num(start)}:{_num(end)}")
-    lines += ["", "[data]", f"min_side = {_num(cfg.data.min_side)}"]
-    if cfg.data.annotations is not None:
-        lines.append(f"annotations = {cfg.data.annotations}")
-    return "\n".join(lines) + "\n"
+    """Render a config back to INI text; parse_config(dump_config(c)) == c.
+
+    Floats are written with repr, the shortest text that reads back exactly;
+    unset optional keys are left out.
+    """
+    blocks = []
+    for section, values in _ini_view(cfg).items():
+        lines = [f"[{section}]"]
+        for key, value in values.items():
+            encode = _CODECS[key][1] if key in _CODECS else repr
+            if value is not None:
+                lines.append(f"{key} = {encode(value)}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 def config_as_dict(cfg: ToolConfig) -> dict:
@@ -490,7 +440,3 @@ def config_as_dict(cfg: ToolConfig) -> dict:
         return obj
 
     return plain(cfg)
-
-
-def _num(x: float) -> str:
-    return f"{x:.12g}"

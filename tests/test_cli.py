@@ -205,6 +205,32 @@ class TestAssignCommand:
         assert main(["--out", str(tmp_path / "x"), "--seed", "5"] + argv + ["--T", "1.5"]) == 2
 
 
+    def test_hambox_honours_config_q(self, tmp_path, annotations):
+        argv = ["--seed", "3", "assign", "--annotations", annotations, "--strategy", "hambox"]
+        conf = tmp_path / "q.ini"
+        conf.write_text("[simulator]\nq = 0.3\n")
+        runs = {
+            "default": argv,
+            "config": ["--config", str(conf)] + argv,
+            "flag": argv + ["--sim-quality", "0.3"],
+        }
+        outputs = {}
+        for name, run in runs.items():
+            assert main(["--out", str(tmp_path / name)] + run) == 0
+            outputs[name] = (tmp_path / name / "assign.csv").read_bytes()
+        assert outputs["config"] == outputs["flag"]
+        assert outputs["config"] != outputs["default"]
+
+    def test_overrides_land_in_manifest(self, tmp_path, annotations):
+        out = tmp_path / "run"
+        argv = ["--out", str(out), "assign", "--annotations", annotations, "--strategy", "hambox"]
+        assert main(argv + ["--sim-quality", "1.0", "--T", "0.5", "--K", "6"]) == 0
+        config = json.loads(read(out / "manifest.json"))["config"]
+        assert config["strategy"] == "hambox"
+        assert config["simulator"]["q"] == 1.0
+        assert config["compensation"] == {"T": 0.5, "K": 6}
+
+
 class TestSimulateCommand:
     def test_single_iteration_single_row(self, tmp_path):
         out = tmp_path / "run"
@@ -310,6 +336,12 @@ class TestConfigPlumb:
         out = tmp_path / "run"
         assert main(["--config", str(cfg), "--out", str(out), "anchors", "--width", "64", "--height", "64"]) == 0
 
+    def test_non_finite_config_value_exit_2(self, tmp_path, annotations):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text("[anchors]\naspect_ratio = inf\n")
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out", str(out), "match-stats", "--annotations", annotations]) == 2
+
     def test_config_drives_anchor_grid(self, tmp_path):
         cfg = tmp_path / "conf.ini"
         cfg.write_text("[anchors]\nstrides = 32\nbase_scales = 64\nscale_ratio = 1.0\n")
@@ -317,3 +349,21 @@ class TestConfigPlumb:
         main(["--config", str(cfg), "--out", str(out), "anchors", "--width", "64", "--height", "64"])
         lines = read(out / "anchors.csv").splitlines()
         assert len(lines) == 1 + 4  # 2x2 cells at stride 32
+
+
+EMPTY_ANNOTATIONS = {"no_images": "", "no_faces": "img/a.jpg\n0\n0 0 0 0 0 0 0 0 0 0\n"}
+ANNOTATION_READERS = {
+    "match-stats": ["match-stats"],
+    "assign": ["assign"],
+    "simulate": ["simulate", "--iters", "1"],
+    "simulate-provenance": ["simulate", "--iters", "1", "--provenance"],
+}
+
+
+@pytest.mark.parametrize("text", EMPTY_ANNOTATIONS.values(), ids=EMPTY_ANNOTATIONS.keys())
+@pytest.mark.parametrize("command", ANNOTATION_READERS.values(), ids=ANNOTATION_READERS.keys())
+def test_zero_valid_faces_exit_1_for_every_reader(tmp_path, command, text):
+    gt = tmp_path / "gt.txt"
+    gt.write_text(text)
+    argv = ["--out", str(tmp_path / "run"), command[0], "--annotations", str(gt)] + command[1:]
+    assert main(argv) == 1

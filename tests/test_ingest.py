@@ -1,14 +1,21 @@
 import io
 import textwrap
+from dataclasses import fields, is_dataclass
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hambox.anchors import AnchorConfig
+from hambox.assignment import MatchParams
 from hambox.geometry import Box
 from hambox.ingest import (
+    STRATEGIES,
     AnnotationParseError,
     ConfigError,
+    DataSettings,
     FaceAnnotation,
     ImageRecord,
+    SimulatorSettings,
     ToolConfig,
     dump_config,
     filter_valid,
@@ -17,6 +24,8 @@ from hambox.ingest import (
     parse_config,
     parse_wider_annotations,
 )
+from hambox.losses import LossParams
+from hambox.mining import CompensationParams
 
 CANONICAL = textwrap.dedent(
     """\
@@ -149,6 +158,74 @@ class TestFilterValid:
             filter_valid(self.records(), -1)
 
 
+def _float_keys() -> list[tuple[str, str]]:
+    """(section, key) of every float-typed field of the config dataclasses."""
+    cfg = ToolConfig()
+    return [
+        (section.name, f.name.lower())
+        for section in fields(cfg)
+        if is_dataclass(getattr(cfg, section.name))
+        for f in fields(getattr(cfg, section.name))
+        if f.type == "float"
+    ]
+
+
+NON_FINITE = [(section, key, value) for section, key in _float_keys() for value in ("nan", "inf", "-inf")] + [
+    ("anchors", "strides", "4, 8, 16, 32, 64, inf"),
+    ("anchors", "base_scales", "nan, 32, 64, 128, 256, 512"),
+    ("simulator", "quality_ramp", "nan:0.5"),
+    ("simulator", "quality_ramp", "0:-inf"),
+]
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_unit = st.floats(0.0, 1.0)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_non_negative = st.floats(min_value=0.0, allow_infinity=False)
+# Printable one-line paths without surrounding whitespace; INI syntax
+# characters such as % ; # = : are deliberately allowed.
+_paths = st.text(st.characters(min_codepoint=32, max_codepoint=0x2FFF), max_size=30).filter(
+    lambda s: s.isprintable() and s == s.strip()
+)
+
+
+@st.composite
+def _levels(draw):
+    n = draw(st.integers(1, 6))
+    strides = sorted(draw(st.lists(_positive, min_size=n, max_size=n, unique=True)))
+    scales = draw(st.lists(_positive, min_size=n, max_size=n))
+    return tuple(zip(strides, scales))
+
+
+_configs = st.builds(
+    ToolConfig,
+    anchors=st.builds(AnchorConfig, levels=_levels(), scale_ratio=_positive, aspect_ratio=_positive),
+    strategy=st.sampled_from(STRATEGIES),
+    match=st.builds(
+        MatchParams,
+        iou_threshold=_unit,
+        nams_stage2_floor=_unit,
+        nams_top_n_mode=st.just("mean_matched") | st.integers(min_value=1),
+    ),
+    compensation=st.builds(CompensationParams, T=_unit, K=st.integers(min_value=1)),
+    loss=st.builds(
+        LossParams,
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        gamma=_non_negative,
+        smooth_l1_beta=_positive,
+    ),
+    simulator=st.builds(
+        SimulatorSettings,
+        q=_unit,
+        noise_sigma=_non_negative,
+        seed=st.integers(),
+        quality_ramp=st.none() | st.tuples(_unit, _unit),
+        score_scale=_finite,
+        score_bias=_finite,
+    ),
+    data=st.builds(DataSettings, annotations=st.none() | _paths, min_side=_non_negative),
+)
+
+
 class TestConfig:
     def test_empty_config_is_all_defaults(self):
         cfg = parse_config("")
@@ -171,6 +248,11 @@ class TestConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match=r"unknown config section \[extras\]"):
             parse_config("[extras]\nx = 1\n")
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nk = 4\n", "[DEFAULT]\nk = 4\n[compensation]\nt = 0.7\n"])
+    def test_default_section_rejected(self, text):
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            parse_config(text)
 
     def test_bad_strategy(self):
         with pytest.raises(ConfigError, match="strategy"):
@@ -225,6 +307,26 @@ class TestConfig:
     def test_percent_in_value_is_literal(self):
         cfg = parse_config("[data]\nannotations = /d/100%/gt.txt\n")
         assert cfg.data.annotations == "/d/100%/gt.txt"
+        assert parse_config(dump_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("section,key,value", NON_FINITE)
+    def test_non_finite_number_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: must be a finite number"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[compensation]\nk = 2.0\n", "[compensation]\nt = 1.5\n", "[anchors]\nscale_ratio = x\n"],
+    )
+    def test_bad_value_names_section_once(self, text):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value).count(text.split("\n")[0]) == 1
+
+    @settings(max_examples=500, deadline=None)
+    @given(_configs)
+    @example(ToolConfig(data=DataSettings(annotations="/d/100%/a;b#c = d:e.txt")))
+    def test_dump_parse_roundtrip_fuzzed(self, cfg):
         assert parse_config(dump_config(cfg)) == cfg
 
     def test_load_config_missing_file(self, tmp_path):
