@@ -39,7 +39,6 @@ from .mining import (
     compensate,
     compute_quality,
     ignore_mask,
-    regress_all,
 )
 from .simulator import (
     MinedIteration,
@@ -47,7 +46,6 @@ from .simulator import (
     SimulationRecord,
     linear_ramp,
     mine_image,
-    optimize_logits,
     run_simulation,
     simulate_regression,
     synthetic_dataset,
@@ -58,7 +56,6 @@ from .stats import (
     ProvenanceReport,
     ScaleCurvePoint,
     combine_reports,
-    compensated_quality_series,
     dataset_census,
     provenance_csv,
     provenance_report,
@@ -91,7 +88,6 @@ __all__ = [
     "cls_loss_grad",
     "combine_reports",
     "compensate",
-    "compensated_quality_series",
     "compute_quality",
     "dataset_census",
     "decode",
@@ -110,12 +106,10 @@ __all__ = [
     "match_two_step",
     "mine_image",
     "nms",
-    "optimize_logits",
     "pairwise_iou",
     "parse_wider_annotations",
     "provenance_csv",
     "provenance_report",
-    "regress_all",
     "regression_aware_cls_loss",
     "run_simulation",
     "scale_ratio_sweep",

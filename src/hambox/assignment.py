@@ -9,6 +9,8 @@ Three strategies are provided:
 * top-N compensation: the first step, then every unmatched face claims the
   top-N background anchors above a small IoU floor (``nams``).
 
+Both second steps, and the online compensation in ``mining``, are one claim
+rule (`claim_best`) with a different IoU matrix, budget and floor.
 All tie-breaks are by ascending index so results are deterministic.
 """
 
@@ -143,14 +145,8 @@ def match_two_step(
     faces = as_box_array(faces)
     ious = pairwise_iou(grid.boxes, faces)  # (N, F)
     assignment = first_step_from_ious(grid, faces, ious, params)
-    for fi in range(faces.shape[0]):
-        if assignment.matched_count[fi] > 0:
-            continue
-        candidate_iou = np.where(assignment.face_of == BACKGROUND, ious[:, fi], -1.0)
-        best = int(np.argmax(candidate_iou))
-        if candidate_iou[best] <= 0.0:
-            continue
-        _claim(assignment, grid, faces, best, fi, SOURCE_STEP2)
+    budget = (assignment.matched_count == 0).astype(np.int64)
+    claim_best(assignment, grid, faces, ious, budget, 0.0, SOURCE_STEP2)
     return assignment
 
 
@@ -171,28 +167,37 @@ def match_nams(
         top_n = max(1, int(np.floor(counts.mean()))) if counts.size else 1
     else:
         top_n = int(params.nams_top_n_mode)
-    for fi in range(faces.shape[0]):
-        if assignment.matched_count[fi] > 0:
-            continue
-        eligible = (assignment.face_of == BACKGROUND) & (ious[:, fi] > params.nams_stage2_floor)
-        idx = np.flatnonzero(eligible)
-        if idx.size == 0:
-            continue
-        ranked = idx[np.lexsort((idx, -ious[idx, fi]))]
-        for anchor in ranked[:top_n]:
-            _claim(assignment, grid, faces, int(anchor), fi, SOURCE_STEP2)
+    budget = np.where(assignment.matched_count == 0, top_n, 0)
+    claim_best(assignment, grid, faces, ious, budget, params.nams_stage2_floor, SOURCE_STEP2)
     return assignment
 
 
-def _claim(
+def claim_best(
     assignment: Assignment,
     grid: AnchorGrid,
     faces: np.ndarray,
-    anchor: int,
-    face: int,
+    ious: np.ndarray,
+    budget: np.ndarray,
+    floor: float,
     source: int,
 ) -> None:
-    assignment.face_of[anchor] = face
-    assignment.source[anchor] = source
-    assignment.targets[anchor] = encode_boxes(grid.boxes[anchor : anchor + 1], faces[face : face + 1])[0]
-    assignment.matched_count[face] += 1
+    """Let each face claim up to `budget[f]` background anchors, in place.
+
+    Faces go in annotation order, so a claimed anchor is gone for later
+    faces. A candidate needs IoU in `ious` (N, F) strictly above `floor`;
+    candidates go by IoU descending, the lower anchor index first on ties.
+    Claimed anchors get `source` and a target encoded against their face.
+    """
+    background = assignment.face_of == BACKGROUND
+    claimed = []
+    for f in np.flatnonzero(budget > 0):
+        idx = np.flatnonzero((ious[:, f] > floor) & background)
+        take = idx[np.lexsort((idx, -ious[idx, f]))][: budget[f]]
+        background[take] = False
+        assignment.face_of[take] = f
+        assignment.matched_count[f] += take.size
+        claimed.append(take)
+    if claimed:
+        claimed = np.concatenate(claimed)
+        assignment.source[claimed] = source
+        assignment.targets[claimed] = encode_boxes(grid.boxes[claimed], faces[assignment.face_of[claimed]])

@@ -301,21 +301,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is None:
-        args.seed = cfg.simulator.seed
     # Override flags land in cfg, validated like config values, so commands
     # and the manifest see one config.
     flags = {k: v for k, v in vars(args).items() if v is not None}
     try:
         if "strategy" in flags:
             cfg = replace(cfg, strategy=flags["strategy"])
-        if "sim_quality" in flags:
-            cfg = replace(cfg, simulator=replace(cfg.simulator, q=flags["sim_quality"]))
+        sim = {k: flags[f] for k, f in (("q", "sim_quality"), ("seed", "seed")) if f in flags}
+        cfg = replace(cfg, simulator=replace(cfg.simulator, **sim))
         comp = {k: flags[k] for k in ("T", "K") if k in flags}
         cfg = replace(cfg, compensation=replace(cfg.compensation, **comp))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    args.seed = cfg.simulator.seed
     try:
         return args.func(args, cfg)
     except FileNotFoundError as exc:

@@ -214,26 +214,9 @@ def load_wider_annotations(path: str | Path, strict: bool = False) -> list[Image
         return parse_wider_annotations(fh, strict=strict)
 
 
-def format_wider_annotations(records: Sequence[ImageRecord]) -> str:
-    """Serialize records back to the annotation layout (integer coordinates)."""
-    out: list[str] = []
-    for rec in records:
-        out.append(rec.path)
-        out.append(str(len(rec.faces)))
-        if not rec.faces:
-            out.append("0 0 0 0 0 0 0 0 0 0")
-            continue
-        for f in rec.faces:
-            x0, y0, x1, y1 = f.box
-            out.append(
-                f"{int(x0)} {int(y0)} {int(x1 - x0)} {int(y1 - y0)} "
-                f"{f.blur} {f.expression} {f.illumination} {f.invalid} {f.occlusion} {f.pose}"
-            )
-    return "\n".join(out) + "\n"
-
-
 def filter_valid(records: Sequence[ImageRecord], min_side: float = 0.0) -> list[ImageRecord]:
-    """Drop faces flagged invalid or smaller than `min_side`; keep every image."""
+    """Drop faces flagged invalid, degenerate (width or height <= 0) or with a
+    side shorter than `min_side`; keep every image."""
     if min_side < 0:
         raise ValueError(f"min_side must be >= 0, got {min_side}")
     out = []
@@ -241,7 +224,10 @@ def filter_valid(records: Sequence[ImageRecord], min_side: float = 0.0) -> list[
         kept = tuple(
             f
             for f in rec.faces
-            if f.invalid != 1 and min(f.box.width, f.box.height) >= min_side
+            if f.invalid != 1
+            and f.box.width > 0
+            and f.box.height > 0
+            and min(f.box.width, f.box.height) >= min_side
         )
         out.append(ImageRecord(path=rec.path, faces=kept))
     return out
@@ -267,6 +253,8 @@ class SimulatorSettings:
             raise ValueError(f"q must be in [0, 1], got {self.q}")
         if self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.quality_ramp is not None:
             for value in self.quality_ramp:
                 if not 0.0 <= value <= 1.0:

@@ -7,7 +7,8 @@ regression output, and accepted while that IoU is strictly above the online
 threshold T, up to the per-face budget of K total positives. Anchors already
 positive (to any face, including compensations granted earlier in the same
 pass) are skipped, so faces are processed in annotation order and the result
-is order-dependent by construction.
+is order-dependent by construction. This is `assignment.claim_best` on the
+regressed-by-face IoU matrix.
 
 The same regression outputs define a per-anchor quality score F (best IoU
 against any face) used both for the ignore mask and for loss weighting.
@@ -21,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .anchors import AnchorGrid
-from .assignment import BACKGROUND, SOURCE_HAMBOX, SOURCE_NONE, SOURCE_STEP1, Assignment
-from .geometry import Box, as_box_array, decode_boxes, encode_boxes, pairwise_iou
+from .assignment import BACKGROUND, SOURCE_HAMBOX, SOURCE_STEP1, Assignment, claim_best
+from .geometry import Box, as_box_array, pairwise_iou
 
 HIGH_QUALITY_IOU = 0.5
 
@@ -50,16 +51,6 @@ class AnchorQuality:
     """
 
     F: np.ndarray = field(repr=False)  # (N,) float64
-
-
-def regress_all(grid: AnchorGrid, deltas: Sequence | np.ndarray) -> np.ndarray:
-    """Decode every anchor's predicted delta into an absolute box (N, 4)."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.ndim == 1 and deltas.size == 0:
-        deltas = deltas.reshape(0, 4)
-    if deltas.shape != (len(grid), 4):
-        raise ValueError(f"expected ({len(grid)}, 4) deltas, got shape {deltas.shape}")
-    return decode_boxes(grid.boxes, deltas)
 
 
 def compute_quality(
@@ -102,7 +93,7 @@ def compensate(
         raise ValueError(f"assignment covers {assignment.n_anchors} anchors, grid has {len(grid)}")
     if assignment.n_faces != faces.shape[0]:
         raise ValueError(f"assignment covers {assignment.n_faces} faces, got {faces.shape[0]}")
-    if not np.all(np.isin(assignment.source, (SOURCE_NONE, SOURCE_STEP1))):
+    if np.any(assignment.source > SOURCE_STEP1):
         raise ValueError("compensate requires a first-step-only assignment")
 
     return _compensate(assignment, grid, faces, pairwise_iou(regressed, faces), params)
@@ -117,30 +108,9 @@ def _compensate(
 ) -> Assignment:
     """compensate on the (N, F) regressed-by-face IoU matrix."""
     out = assignment.copy()
-    step1_count = assignment.matched_count  # budgets use first-step counts only
-    # Strictly-above-T admission lets the descending scan stop at T, so only
-    # candidates above T need sorting at all. Transposed, the (face, anchor)
-    # pairs come grouped by face with anchors ascending.
-    cand_face, cand_anchor = np.nonzero(ious.T > params.T)
-    bounds = np.searchsorted(cand_face, np.arange(faces.shape[0] + 1))
-    for fi in range(faces.shape[0]):
-        if step1_count[fi] >= params.K:
-            continue
-        budget = params.K - int(step1_count[fi])
-        candidates = cand_anchor[bounds[fi] : bounds[fi + 1]]
-        order = candidates[np.lexsort((candidates, -ious[candidates, fi]))]
-        for anchor in order:
-            if out.face_of[anchor] != BACKGROUND:
-                continue
-            out.face_of[anchor] = fi
-            out.source[anchor] = SOURCE_HAMBOX
-            out.targets[anchor] = encode_boxes(
-                grid.boxes[anchor : anchor + 1], faces[fi : fi + 1]
-            )[0]
-            out.matched_count[fi] += 1
-            budget -= 1
-            if budget == 0:
-                break
+    # Budgets use first-step counts only.
+    budget = np.maximum(params.K - assignment.matched_count, 0)
+    claim_best(out, grid, faces, ious, budget, params.T, SOURCE_HAMBOX)
     return out
 
 

@@ -33,7 +33,6 @@ from .geometry import Box, as_box_array, elementwise_iou, encode_boxes, pairwise
 from .ingest import FaceAnnotation, ImageRecord
 from .losses import (
     LossParams,
-    cls_loss_grad,
     location_loss,
     regression_aware_cls_loss,
     sigmoid,
@@ -315,35 +314,3 @@ def run_simulation(
         )
     report = combine_reports([r for _, r in per_image]) if provenance else None
     return records, report
-
-
-def optimize_logits(
-    assignment: Assignment,
-    quality: AnchorQuality,
-    ignore: np.ndarray,
-    loss_params: LossParams,
-    steps: int,
-    step_size: float,
-    logits: np.ndarray | None = None,
-) -> np.ndarray:
-    """Plain gradient descent on per-anchor logits; returns the loss trajectory.
-
-    Entry k is the total classification loss after k steps (so the array has
-    steps + 1 values). Ignored anchors receive zero gradient and never move.
-    """
-    if step_size <= 0.0:
-        raise ValueError(f"step_size must be > 0, got {step_size}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    z = np.zeros(assignment.n_anchors) if logits is None else np.asarray(logits, dtype=np.float64).copy()
-
-    def loss_at(zv: np.ndarray) -> float:
-        return regression_aware_cls_loss(
-            np.asarray(sigmoid(zv)), assignment, quality, ignore, loss_params
-        ).cls_total
-
-    trajectory = [loss_at(z)]
-    for _ in range(steps):
-        z -= step_size * cls_loss_grad(z, assignment, quality, ignore, loss_params)
-        trajectory.append(loss_at(z))
-    return np.asarray(trajectory)

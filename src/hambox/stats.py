@@ -20,7 +20,7 @@ import numpy as np
 from .anchors import AnchorConfig, AnchorGrid, cover_image_size, grid_shape
 from .assignment import BACKGROUND, SOURCE_STEP1, Assignment
 from .geometry import Box, as_box_array, elementwise_iou, nms
-from .ingest import ImageRecord
+from .ingest import ImageRecord, filter_valid
 from .mining import HIGH_QUALITY_IOU, AnchorQuality
 
 CPBB_IOU = 0.5  # a prediction is correct when it clears this IoU against some face
@@ -79,13 +79,8 @@ class ProvenanceReport:
 
 
 def valid_face_boxes(record: ImageRecord) -> np.ndarray:
-    """Face boxes minus invalid-flagged and degenerate entries."""
-    boxes = [
-        tuple(f.box)
-        for f in record.faces
-        if f.invalid != 1 and f.box.width > 0 and f.box.height > 0
-    ]
-    return as_box_array(boxes) if boxes else np.zeros((0, 4))
+    """The record's face boxes that `filter_valid` keeps."""
+    return filter_valid([record])[0].face_boxes()
 
 
 def _image_census(
@@ -333,26 +328,3 @@ def provenance_csv(report: ProvenanceReport) -> str:
         ("iou_cdf", " ".join(f"{v:.10g}" for v in report.iou_cdf)),
     ]
     return "field,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
-
-
-def compensated_quality_series(
-    iterations: Sequence[tuple[Assignment, np.ndarray]],
-    faces: Sequence[Box] | np.ndarray,
-) -> list[tuple[int, float | None, int]]:
-    """Mean regressed-box IoU of compensated anchors per iteration.
-
-    Covers both compensation flavors (second-step and online-mined); entries
-    with no compensated anchors report (iteration, None, 0).
-    """
-    faces = as_box_array(faces)
-    series: list[tuple[int, float | None, int]] = []
-    for t, (assignment, regressed) in enumerate(iterations):
-        regressed = as_box_array(regressed)
-        comp = (assignment.source > SOURCE_STEP1) & (assignment.face_of >= 0)
-        n = int(comp.sum())
-        if n == 0:
-            series.append((t, None, 0))
-            continue
-        ious = elementwise_iou(regressed[comp], faces[assignment.face_of[comp]])
-        series.append((t, float(ious.mean()), n))
-    return series

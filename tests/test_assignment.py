@@ -13,8 +13,10 @@ from hambox.assignment import (
     match_two_step,
 )
 from hambox.geometry import Box, pairwise_iou
+from hambox.mining import CompensationParams, compensate
 
 from .oracles import (
+    compensate_reference,
     encode_reference,
     first_step_reference,
     nams_reference,
@@ -275,6 +277,67 @@ class TestNams:
             n = max(1, int(np.floor(matched.mean())))
             a_fixed = match_nams(grid, faces, MatchParams(iou_threshold=0.4, nams_top_n_mode=n))
             np.testing.assert_array_equal(a_mean.face_of, a_fixed.face_of)
+
+
+class TestClaimBest:
+    """The one claim rule behind dms, nams and online compensation, on exact ties."""
+
+    # Face 0 is short: no anchor clears the 0.9 step-1 threshold. Anchors 1-4
+    # are face 0 shifted left, right, up and down by 4 px, so their IoU with
+    # it is the same float (60 / 140). Face 1's best anchor is anchor 1, which
+    # face 0 claims first; anchors 3 and 4 tie again for face 1.
+    ANCHORS = np.array(
+        [
+            [50.0, 50.0, 60.0, 60.0],
+            [6.0, 10.0, 16.0, 20.0],
+            [14.0, 10.0, 24.0, 20.0],
+            [10.0, 6.0, 20.0, 16.0],
+            [10.0, 14.0, 20.0, 24.0],
+        ]
+    )
+    FACES = np.array([[10.0, 10.0, 20.0, 20.0], [5.0, 10.0, 15.0, 20.0]])
+    THRESHOLD = 0.9
+
+    def grid(self):
+        from hambox.anchors import AnchorGrid
+
+        return AnchorGrid(
+            boxes=self.ANCHORS.copy(),
+            level_of=np.zeros(5, dtype=np.int32),
+            cell_of=np.zeros((5, 2), dtype=np.int32),
+            config=AnchorConfig(levels=((8, 16),)),
+            image_size=(64, 64),
+        )
+
+    @pytest.mark.parametrize(
+        "rule, want",
+        [
+            ("dms", [-1, 0, -1, 1, -1]),
+            ("nams", [-1, 0, 0, 1, 1]),
+            ("compensate", [-1, 0, 0, 1, 1]),
+        ],
+    )
+    def test_lower_index_and_earlier_face_win(self, rule, want):
+        ious = pairwise_iou(self.ANCHORS, self.FACES)
+        assert len(set(ious[1:, 0].tolist())) == 1  # bit-equal for face 0
+        assert ious[3, 1] == ious[4, 1] and np.argmax(ious[:, 1]) == 1
+        grid, anchors, faces = self.grid(), self.ANCHORS.tolist(), self.FACES.tolist()
+        params = MatchParams(iou_threshold=self.THRESHOLD, nams_top_n_mode=2)
+        if rule == "dms":
+            got = match_two_step(grid, self.FACES, params)
+            ref, _, _ = two_step_reference(anchors, faces, self.THRESHOLD)
+        elif rule == "nams":
+            got = match_nams(grid, self.FACES, params)
+            ref, _, _ = nams_reference(anchors, faces, self.THRESHOLD, params.nams_stage2_floor, 2)
+        else:
+            first = match_first_step(grid, self.FACES, params)
+            got = compensate(first, grid, self.FACES, self.ANCHORS, CompensationParams(T=0.1, K=2))
+            ref, _, _ = compensate_reference(first.face_of.tolist(), anchors, faces, anchors, 2, 0.1)
+        assert got.face_of.tolist() == want
+        assert ref == want
+        pos = np.flatnonzero(got.face_of >= 0)
+        want_targets = [encode_reference(anchors[i], faces[got.face_of[i]]) for i in pos]
+        np.testing.assert_allclose(got.targets[pos], want_targets, rtol=1e-12)
 
 
 class TestInvariants:

@@ -367,3 +367,32 @@ def test_zero_valid_faces_exit_1_for_every_reader(tmp_path, command, text):
     gt.write_text(text)
     argv = ["--out", str(tmp_path / "run"), command[0], "--annotations", str(gt)] + command[1:]
     assert main(argv) == 1
+
+
+SEED_READERS = {
+    "anchors": ["anchors", "--width", "64", "--height", "64"],
+    "match-stats": ["match-stats", "--annotations", None],
+    "simulate": ["simulate", "--synthetic-images", "1", "--iters", "1"],
+    "assign-hambox": ["assign", "--annotations", None, "--strategy", "hambox"],
+}
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("command", SEED_READERS.values(), ids=SEED_READERS.keys())
+def test_negative_seed_exit_2(tmp_path, annotations, capsys, command, source):
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text("[simulator]\nseed = -5\n" if source == "config" else "")
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "run")]
+    if source == "flag":
+        argv += ["--seed", "-5"]
+    argv += [annotations if a is None else a for a in command]
+    assert main(argv) == 2
+    assert "seed must be >= 0, got -5" in capsys.readouterr().err
+
+
+def test_seed_flag_lands_in_config(tmp_path):
+    out = tmp_path / "run"
+    assert main(["--seed", "7", "--out", str(out), "anchors", "--width", "64", "--height", "64"]) == 0
+    manifest = json.loads(read(out / "manifest.json"))
+    assert manifest["seed"] == 7
+    assert manifest["config"]["simulator"]["seed"] == 7

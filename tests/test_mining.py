@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hambox.anchors import AnchorConfig, AnchorGrid, generate_anchors
+from hambox.anchors import AnchorConfig, AnchorGrid
 from hambox.assignment import (
     BACKGROUND,
     SOURCE_HAMBOX,
@@ -13,14 +13,13 @@ from hambox.assignment import (
     match_first_step,
     match_two_step,
 )
-from hambox.geometry import decode, encode_boxes, iou, pairwise_iou
+from hambox.geometry import iou, pairwise_iou
 from hambox.mining import (
     AnchorQuality,
     CompensationParams,
     compensate,
     compute_quality,
     ignore_mask,
-    regress_all,
 )
 
 from .oracles import compensate_reference, iou_reference, random_boxes
@@ -48,33 +47,6 @@ class TestCompensationParams:
             CompensationParams(T=1.2)
         with pytest.raises(ValueError, match="K"):
             CompensationParams(K=0)
-
-
-class TestRegressAll:
-    def test_zero_deltas_reproduce_anchors(self):
-        grid = generate_anchors(AnchorConfig(levels=((8, 16),)), 64, 64)
-        out = regress_all(grid, np.zeros((len(grid), 4)))
-        np.testing.assert_allclose(out, grid.boxes)
-
-    def test_encoded_face_regresses_onto_face(self):
-        grid = generate_anchors(AnchorConfig(levels=((8, 16),)), 64, 64)
-        face = np.array([[10.0, 12.0, 30.0, 33.0]])
-        deltas = encode_boxes(grid.boxes, np.repeat(face, len(grid), axis=0))
-        out = regress_all(grid, deltas)
-        np.testing.assert_allclose(out, np.repeat(face, len(grid), axis=0), atol=1e-9)
-
-    def test_matches_elementwise_decode(self):
-        rng = np.random.default_rng(2)
-        grid = toy_grid(50, rng)
-        deltas = rng.uniform(-0.5, 0.5, size=(50, 4))
-        out = regress_all(grid, deltas)
-        for i in range(50):
-            np.testing.assert_allclose(out[i], tuple(decode(grid.boxes[i], deltas[i])), rtol=1e-12)
-
-    def test_length_mismatch(self):
-        grid = generate_anchors(AnchorConfig(levels=((8, 16),)), 64, 64)
-        with pytest.raises(ValueError, match="deltas"):
-            regress_all(grid, np.zeros((3, 4)))
 
 
 class TestComputeQuality:

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from hambox.anchors import AnchorConfig, AnchorGrid, cover_image_size, generate_anchors
-from hambox.assignment import MatchParams, match_first_step, match_two_step
+from hambox.assignment import MatchParams, match_first_step
 from hambox.geometry import Box
 from hambox.ingest import FaceAnnotation, ImageRecord
-from hambox.mining import CompensationParams, compensate, compute_quality
+from hambox.mining import compute_quality
 from hambox.stats import (
     EmptyDatasetError,
     combine_reports,
-    compensated_quality_series,
     dataset_census,
     provenance_csv,
     provenance_report,
@@ -262,52 +261,3 @@ class TestProvenanceReport:
         assert pooled.faces_matched_cpbb == 2 * rep.faces_matched_cpbb
         assert pooled.frac_cpbb_from_matched == pytest.approx(rep.frac_cpbb_from_matched)
         assert pooled.iou_cdf.shape[0] == 2 * rep.iou_cdf.shape[0]
-
-
-class TestCompensatedQualitySeries:
-    def test_series_tracks_compensation(self):
-        grid, faces, regressed, scores, assignment, quality = hand_fixture()
-        # Iteration 0: first step only, nothing compensated.
-        # Iteration 1: online compensation with T = 0.8 admits anchors 1 and 4.
-        compensated = compensate(
-            assignment, grid, faces, regressed, CompensationParams(T=0.8, K=2)
-        )
-        series = compensated_quality_series(
-            [(assignment, regressed), (compensated, regressed)], faces
-        )
-        assert series[0] == (0, None, 0)
-        t, mean, n = series[1]
-        assert t == 1 and n == 2
-        assert mean == pytest.approx((1.0 + 90 / 110) / 2)
-
-    def test_exact_regression_means_one(self):
-        grid, faces, _, _, assignment, _ = hand_fixture()
-        exact = faces[np.zeros(5, dtype=np.int64)]
-        exact[3:] = faces[1]
-        two = match_two_step(grid, faces, MatchParams(iou_threshold=0.99))
-        series = compensated_quality_series([(two, exact)], faces)
-        t, mean, n = series[0]
-        if n > 0:
-            assert mean == pytest.approx(1.0)
-
-    def test_admitted_quality_never_below_threshold(self):
-        rng = np.random.default_rng(10)
-        from .oracles import random_boxes
-
-        from hambox.geometry import pairwise_iou
-
-        config = AnchorConfig(levels=((8, 16), (16, 32)), scale_ratio=0.68)
-        grid = generate_anchors(config, 128, 128)
-        faces = random_boxes(rng, 3, hi=100.0, min_side=8.0, max_side=40.0)
-        iterations = []
-        for t in range(5):
-            q = 0.5 + 0.1 * t
-            pulls = pairwise_iou(grid.boxes, faces)
-            best = np.argmax(pulls, axis=1)
-            regressed = grid.boxes + q * (faces[best] - grid.boxes)
-            first = match_first_step(grid, faces, MatchParams())
-            out = compensate(first, grid, faces, regressed, CompensationParams(T=0.8, K=3))
-            iterations.append((out, regressed))
-        for t, mean, n in compensated_quality_series(iterations, faces):
-            if n > 0:
-                assert mean >= 0.8
