@@ -15,7 +15,7 @@ from .assignment import (
     match_nams,
     match_two_step,
 )
-from .geometry import Box, BoxDelta, decode, encode, iou, nms, pairwise_iou
+from .geometry import Box, BoxDelta, Overlaps, decode, encode, iou, nms, overlaps, pairwise_iou
 from .ingest import (
     FaceAnnotation,
     ImageRecord,
@@ -80,6 +80,7 @@ __all__ = [
     "MatchCensus",
     "MatchParams",
     "MinedIteration",
+    "Overlaps",
     "ProvenanceReport",
     "RegressorModel",
     "ScaleCurvePoint",
@@ -106,6 +107,7 @@ __all__ = [
     "match_two_step",
     "mine_image",
     "nms",
+    "overlaps",
     "pairwise_iou",
     "parse_wider_annotations",
     "provenance_csv",

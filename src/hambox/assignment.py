@@ -10,8 +10,9 @@ Three strategies are provided:
   top-N background anchors above a small IoU floor (``nams``).
 
 Both second steps, and the online compensation in ``mining``, are one claim
-rule (`claim_best`) with a different IoU matrix, budget and floor.
-All tie-breaks are by ascending index so results are deterministic.
+rule (`claim_best`) with a different pair list, budget and floor. Every step
+reads the sparse ``geometry.overlaps`` pair list, never an anchors x faces
+matrix. All tie-breaks are by ascending index so results are deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .anchors import AnchorGrid
-from .geometry import Box, as_box_array, encode_boxes, pairwise_iou
+from .geometry import Box, Overlaps, as_box_array, encode_boxes, overlaps
 
 # Per-anchor provenance codes.
 SOURCE_NONE = 0
@@ -53,8 +54,8 @@ class MatchParams:
     nams_top_n_mode: str | int = "mean_matched"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.iou_threshold <= 1.0:
-            raise ValueError(f"iou_threshold must be in [0, 1], got {self.iou_threshold}")
+        if not 0.0 < self.iou_threshold <= 1.0:
+            raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
         if not 0.0 <= self.nams_stage2_floor <= 1.0:
             raise ValueError(f"nams_stage2_floor must be in [0, 1], got {self.nams_stage2_floor}")
         if isinstance(self.nams_top_n_mode, str):
@@ -100,28 +101,26 @@ class Assignment:
         )
 
 
-def first_step_from_ious(
-    grid: AnchorGrid, faces: np.ndarray, ious: np.ndarray, params: MatchParams
+def first_step_from_overlaps(
+    grid: AnchorGrid, faces: np.ndarray, pairs: Overlaps, params: MatchParams
 ) -> Assignment:
-    """First matching step on a precomputed (N, F) anchor-by-face IoU matrix.
+    """First matching step on the anchor-by-face pair list.
 
-    `faces` is the (F, 4) box array and `ious` is ``pairwise_iou(grid.boxes,
-    faces)``; callers that need the matrix again compute it once and share it.
+    `faces` is the (F, 4) box array and `pairs` is ``overlaps(grid.boxes,
+    faces)``; callers that need the pairs again compute them once and share
+    them. An anchor in no pair has IoU 0, below every allowed threshold.
     """
     n = len(grid)
-    f = faces.shape[0]
     face_of = np.full(n, BACKGROUND, dtype=np.int64)
     targets = np.full((n, 4), np.nan)
     source = np.full(n, SOURCE_NONE, dtype=np.uint8)
-    if f > 0:
-        best_face = np.argmax(ious, axis=1)  # first max wins: lower face index
-        best_iou = ious[np.arange(n), best_face]
-        pos = best_iou >= params.iou_threshold
-        face_of[pos] = best_face[pos]
-        source[pos] = SOURCE_STEP1
-        if np.any(pos):
-            targets[pos] = encode_boxes(grid.boxes[pos], faces[best_face[pos]])
-    matched = np.bincount(face_of[face_of >= 0], minlength=f).astype(np.int64)
+    best = pairs.best()  # lower face index on ties, as the dense argmax
+    pos = best.iou >= params.iou_threshold
+    anchors, owners = best.box[pos], best.face[pos]
+    face_of[anchors] = owners
+    source[anchors] = SOURCE_STEP1
+    targets[anchors] = encode_boxes(grid.boxes[anchors], faces[owners])
+    matched = np.bincount(owners, minlength=faces.shape[0]).astype(np.int64)
     return Assignment(face_of, targets, source, matched)
 
 
@@ -130,7 +129,7 @@ def match_first_step(
 ) -> Assignment:
     """Assign each anchor to its maximum-IoU face when that IoU >= the threshold."""
     faces = as_box_array(faces)
-    return first_step_from_ious(grid, faces, pairwise_iou(grid.boxes, faces), params)
+    return first_step_from_overlaps(grid, faces, overlaps(grid.boxes, faces), params)
 
 
 def match_two_step(
@@ -143,10 +142,10 @@ def match_two_step(
     unavailable to later faces.
     """
     faces = as_box_array(faces)
-    ious = pairwise_iou(grid.boxes, faces)  # (N, F)
-    assignment = first_step_from_ious(grid, faces, ious, params)
+    pairs = overlaps(grid.boxes, faces)
+    assignment = first_step_from_overlaps(grid, faces, pairs, params)
     budget = (assignment.matched_count == 0).astype(np.int64)
-    claim_best(assignment, grid, faces, ious, budget, 0.0, SOURCE_STEP2)
+    claim_best(assignment, grid, faces, pairs, budget, 0.0, SOURCE_STEP2)
     return assignment
 
 
@@ -160,15 +159,15 @@ def match_nams(
     ascending-index tie-break.
     """
     faces = as_box_array(faces)
-    ious = pairwise_iou(grid.boxes, faces)  # (N, F)
-    assignment = first_step_from_ious(grid, faces, ious, params)
+    pairs = overlaps(grid.boxes, faces)
+    assignment = first_step_from_overlaps(grid, faces, pairs, params)
     if isinstance(params.nams_top_n_mode, str):
         counts = assignment.matched_count[assignment.matched_count > 0]
         top_n = max(1, int(np.floor(counts.mean()))) if counts.size else 1
     else:
         top_n = int(params.nams_top_n_mode)
     budget = np.where(assignment.matched_count == 0, top_n, 0)
-    claim_best(assignment, grid, faces, ious, budget, params.nams_stage2_floor, SOURCE_STEP2)
+    claim_best(assignment, grid, faces, pairs, budget, params.nams_stage2_floor, SOURCE_STEP2)
     return assignment
 
 
@@ -176,7 +175,7 @@ def claim_best(
     assignment: Assignment,
     grid: AnchorGrid,
     faces: np.ndarray,
-    ious: np.ndarray,
+    pairs: Overlaps,
     budget: np.ndarray,
     floor: float,
     source: int,
@@ -184,15 +183,20 @@ def claim_best(
     """Let each face claim up to `budget[f]` background anchors, in place.
 
     Faces go in annotation order, so a claimed anchor is gone for later
-    faces. A candidate needs IoU in `ious` (N, F) strictly above `floor`;
+    faces. A candidate is a pair of `pairs` with IoU strictly above `floor`;
     candidates go by IoU descending, the lower anchor index first on ties.
     Claimed anchors get `source` and a target encoded against their face.
     """
     background = assignment.face_of == BACKGROUND
+    cand = (pairs.iou > floor) & (budget[pairs.face] > 0) & background[pairs.box]
+    anchor, face, iou = pairs.box[cand], pairs.face[cand], pairs.iou[cand]
+    order = np.lexsort((anchor, -iou, face))
+    anchor, face = anchor[order], face[order]
+    bounds = np.flatnonzero(np.diff(face, prepend=-1, append=-1))
     claimed = []
-    for f in np.flatnonzero(budget > 0):
-        idx = np.flatnonzero((ious[:, f] > floor) & background)
-        take = idx[np.lexsort((idx, -ious[idx, f]))][: budget[f]]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        f = face[lo]
+        take = anchor[lo:hi][background[anchor[lo:hi]]][: budget[f]]
         background[take] = False
         assignment.face_of[take] = f
         assignment.matched_count[f] += take.size

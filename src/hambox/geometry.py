@@ -85,6 +85,127 @@ def pairwise_iou(a: Sequence[Box] | np.ndarray, b: Sequence[Box] | np.ndarray) -
     return out
 
 
+class Overlaps(NamedTuple):
+    """Every (box, face) pair with IoU > 0, as three parallel (P,) arrays.
+
+    Rows are sorted by box, then IoU descending, then face ascending, so the
+    first row of a box is its dense argmax with the lower face index on ties.
+    """
+
+    box: np.ndarray  # (P,) int64
+    face: np.ndarray  # (P,) int64
+    iou: np.ndarray  # (P,) float64
+
+    def best(self) -> "Overlaps":
+        """The first row of each box: its best face and that IoU."""
+        head = np.ones(self.box.size, dtype=bool)
+        head[1:] = self.box[1:] != self.box[:-1]
+        return Overlaps(self.box[head], self.face[head], self.iou[head])
+
+
+def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarray) -> Overlaps:
+    """Every nonzero entry of ``pairwise_iou(boxes, faces)``, without the matrix.
+
+    Each IoU is computed with :func:`pairwise_iou`'s arithmetic, so values
+    are bit-equal to the dense entries, and the entries left out are exactly
+    its zeros (a box or face with a non-finite area gets no pairs). Memory
+    and work are O(N + F + candidate pairs):
+
+    * boxes go into power-of-two size classes, and each class is hashed on a
+      grid whose cell is at least its boxes' side;
+    * a box is filed in the one cell that holds its top-left corner, and a
+      face expands into every cell where the top-left corner of a box that
+      overlaps it can lie: the cells it covers plus one column to the left
+      and one row above;
+    * the cell doubles while the faces' cells, or the window they span,
+      exceed 4 per box of the class plus 9 per face, so tiny or sparse
+      classes stay cheap;
+    * a box and a face sharing a cell are a candidate, so each pair is found
+      once, and candidates that do not intersect are dropped.
+    """
+    boxes = as_box_array(boxes)
+    faces = as_box_array(faces)
+    bw, bh = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
+    fw, fh = faces[:, 2] - faces[:, 0], faces[:, 3] - faces[:, 1]
+    area_b = np.maximum(0.0, bw) * np.maximum(0.0, bh)
+    area_f = np.maximum(0.0, fw) * np.maximum(0.0, fh)
+    bi = np.flatnonzero((bw > 0.0) & (bh > 0.0) & np.isfinite(area_b))
+    fi = np.flatnonzero((fw > 0.0) & (fh > 0.0) & np.isfinite(area_f))
+    if bi.size == 0 or fi.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return Overlaps(empty, empty, np.zeros(0))
+    exps = np.frexp(np.maximum(bw[bi], bh[bi]))[1]  # side < 2**exp
+    present = np.bincount(exps - exps.min()) > 0
+    cls_of = (np.cumsum(present) - 1)[exps - exps.min()]
+    n_box = np.bincount(cls_of)
+
+    # Per class: cell size and the window of cells the faces expand into,
+    # as origin, extent and key offset in one table shared by all classes.
+    n_cls = n_box.size
+    cell = np.ldexp(1.0, np.flatnonzero(present) + exps.min())
+    org_x, org_y = np.zeros(n_cls), np.zeros(n_cls)
+    ext_x, ext_y = np.zeros(n_cls), np.zeros(n_cls)
+    offset = np.zeros(n_cls, dtype=np.int64)
+    f_keys, f_ids = [], []
+    n_keys = 0
+    live = faces[fi]
+    for k in range(n_cls):
+        c = cell[k]
+        while True:
+            x0, x1 = np.floor(live[:, 0] / c) - 1.0, np.floor(live[:, 2] / c)
+            y0, y1 = np.floor(live[:, 1] / c) - 1.0, np.floor(live[:, 3] / c)
+            w, h = x1 - x0 + 1.0, y1 - y0 + 1.0
+            ox, oy = x0.min(), y0.min()
+            ex, ey = x1.max() - ox + 1.0, y1.max() - oy + 1.0
+            budget = 4.0 * n_box[k] + 9.0 * fi.size
+            if np.sum(w * h) <= budget and ex * ey <= budget:
+                break
+            c *= 2.0
+        cell[k], org_x[k], org_y[k], ext_x[k], ext_y[k], offset[k] = c, ox, oy, ex, ey, n_keys
+        n_keys += int(ex * ey)
+        w, h = w.astype(np.int64), h.astype(np.int64)
+        per_face = w * h
+        owner = np.repeat(np.arange(fi.size), per_face)
+        at = np.arange(per_face.sum()) - np.repeat(np.cumsum(per_face) - per_face, per_face)
+        gx = (x0 - ox).astype(np.int64)[owner] + at % w[owner]
+        gy = (y0 - oy).astype(np.int64)[owner] + at // w[owner]
+        f_keys.append(offset[k] + gx * int(ey) + gy)
+        f_ids.append(fi[owner])
+    f_keys = np.concatenate(f_keys)
+    order = np.argsort(f_keys, kind="stable")  # faces ascending within a cell
+    f_ids = np.concatenate(f_ids)[order]
+    f_count = np.bincount(f_keys, minlength=n_keys + 1)  # key n_keys: outside every window
+    f_start = np.cumsum(f_count) - f_count
+
+    # Each box's top-left cell; boxes outside their class window find no face.
+    gx = np.floor(boxes[bi, 0] / cell[cls_of]) - org_x[cls_of]
+    gy = np.floor(boxes[bi, 1] / cell[cls_of]) - org_y[cls_of]
+    ey = ext_y[cls_of]
+    inside = (gx >= 0.0) & (gx < ext_x[cls_of]) & (gy >= 0.0) & (gy < ey)
+    key = np.where(inside, offset[cls_of] + gx * ey + gy, float(n_keys)).astype(np.int64)
+    n_hit = f_count[key]
+    hit = np.flatnonzero(n_hit)
+    n_hit = n_hit[hit]
+    box = bi[np.repeat(hit, n_hit)]
+    at = np.arange(box.size) - np.repeat(np.cumsum(n_hit) - n_hit, n_hit)
+    face = f_ids[np.repeat(f_start[key[hit]], n_hit) + at]
+
+    # pairwise_iou's arithmetic on the candidates that intersect.
+    iw = np.minimum(boxes[box, 2], faces[face, 2]) - np.maximum(boxes[box, 0], faces[face, 0])
+    ih = np.minimum(boxes[box, 3], faces[face, 3]) - np.maximum(boxes[box, 1], faces[face, 1])
+    meet = (iw > 0.0) & (ih > 0.0)
+    box, face, iw, ih = box[meet], face[meet], iw[meet], ih[meet]
+    inter = iw * ih
+    iou = inter / (area_b[box] + area_f[face] - inter)
+    keep = iou > 0.0
+    box, face, iou = box[keep], face[keep], iou[keep]
+    # Candidates come sorted by box, then face. Ranking the IoUs first lets one
+    # stable sort of a nearly sorted key finish the order.
+    desc = np.unique(-iou, return_inverse=True)[1]
+    order = np.argsort(box * (desc.size + 1) + desc, kind="stable")
+    return Overlaps(box[order], face[order], iou[order])
+
+
 def elementwise_iou(a: Sequence[Box] | np.ndarray, b: Sequence[Box] | np.ndarray) -> np.ndarray:
     """IoU between corresponding rows of two (N, 4) box arrays."""
     a = as_box_array(a)

@@ -8,7 +8,7 @@ threshold T, up to the per-face budget of K total positives. Anchors already
 positive (to any face, including compensations granted earlier in the same
 pass) are skipped, so faces are processed in annotation order and the result
 is order-dependent by construction. This is `assignment.claim_best` on the
-regressed-by-face IoU matrix.
+regressed-by-face pair list.
 
 The same regression outputs define a per-anchor quality score F (best IoU
 against any face) used both for the ignore mask and for loss weighting.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .anchors import AnchorGrid
 from .assignment import BACKGROUND, SOURCE_HAMBOX, SOURCE_STEP1, Assignment, claim_best
-from .geometry import Box, as_box_array, pairwise_iou
+from .geometry import Box, Overlaps, as_box_array, overlaps
 
 HIGH_QUALITY_IOU = 0.5
 
@@ -57,14 +57,16 @@ def compute_quality(
     regressed: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarray
 ) -> AnchorQuality:
     """Score every regressed box by its best IoU against the faces."""
-    return _quality(pairwise_iou(as_box_array(regressed), as_box_array(faces)))
+    regressed = as_box_array(regressed)
+    return _quality(overlaps(regressed, as_box_array(faces)), regressed.shape[0])
 
 
-def _quality(ious: np.ndarray) -> AnchorQuality:
-    """compute_quality on the (N, F) regressed-by-face IoU matrix."""
-    if ious.shape[1] == 0:
-        return AnchorQuality(F=np.zeros(ious.shape[0]))
-    return AnchorQuality(F=ious.max(axis=1))
+def _quality(pairs: Overlaps, n: int) -> AnchorQuality:
+    """compute_quality on the regressed-by-face pair list of `n` boxes."""
+    F = np.zeros(n)
+    best = pairs.best()
+    F[best.box] = best.iou
+    return AnchorQuality(F=F)
 
 
 def compensate(
@@ -96,21 +98,21 @@ def compensate(
     if np.any(assignment.source > SOURCE_STEP1):
         raise ValueError("compensate requires a first-step-only assignment")
 
-    return _compensate(assignment, grid, faces, pairwise_iou(regressed, faces), params)
+    return _compensate(assignment, grid, faces, overlaps(regressed, faces), params)
 
 
 def _compensate(
     assignment: Assignment,
     grid: AnchorGrid,
     faces: np.ndarray,
-    ious: np.ndarray,
+    pairs: Overlaps,
     params: CompensationParams,
 ) -> Assignment:
-    """compensate on the (N, F) regressed-by-face IoU matrix."""
+    """compensate on the regressed-by-face pair list."""
     out = assignment.copy()
     # Budgets use first-step counts only.
     budget = np.maximum(params.K - assignment.matched_count, 0)
-    claim_best(out, grid, faces, ious, budget, params.T, SOURCE_HAMBOX)
+    claim_best(out, grid, faces, pairs, budget, params.T, SOURCE_HAMBOX)
     return out
 
 

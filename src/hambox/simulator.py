@@ -28,8 +28,8 @@ from .anchors import (
     default_hambox_config,
     generate_anchors,
 )
-from .assignment import SOURCE_HAMBOX, Assignment, MatchParams, first_step_from_ious
-from .geometry import Box, as_box_array, elementwise_iou, encode_boxes, pairwise_iou
+from .assignment import SOURCE_HAMBOX, Assignment, MatchParams, first_step_from_overlaps
+from .geometry import Box, Overlaps, as_box_array, elementwise_iou, encode_boxes, overlaps
 from .ingest import FaceAnnotation, ImageRecord
 from .losses import (
     LossParams,
@@ -115,19 +115,20 @@ def simulate_regression(
     height (y coordinates). `stream` separates images sharing a seed.
     """
     faces = as_box_array(faces)
-    ref, overlap = _pull_targets(grid.boxes, faces, pairwise_iou(grid.boxes, faces))
+    ref, overlap = _pull_targets(grid.boxes, faces, overlaps(grid.boxes, faces))
     return _regress(grid.boxes, ref, overlap, model, iteration, stream)
 
 
 def _pull_targets(
-    boxes: np.ndarray, faces: np.ndarray, ious: np.ndarray
+    boxes: np.ndarray, faces: np.ndarray, pairs: Overlaps
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each anchor's reference box (its best-IoU face, or itself) and whether it overlaps a face."""
-    if faces.shape[0] == 0:
-        return boxes, np.zeros(boxes.shape[0], dtype=bool)
-    best = np.argmax(ious, axis=1)
-    overlap = ious[np.arange(boxes.shape[0]), best] > 0.0
-    return np.where(overlap[:, None], faces[best], boxes), overlap
+    best = pairs.best()
+    ref = boxes.copy()
+    ref[best.box] = faces[best.face]
+    overlap = np.zeros(boxes.shape[0], dtype=bool)
+    overlap[best.box] = True
+    return ref, overlap
 
 
 def _regress(
@@ -215,21 +216,19 @@ def mine_image(
     Per iteration: regress, compensate the first step above T up to K, score
     quality and build the ignore mask. The first step and each anchor's
     best-face pull do not change between iterations; both come from one
-    anchor-by-face overlap, dropped before the first regressed-by-face
-    overlap is built. That one per iteration feeds both compensation and
-    quality, so at most one dense (anchors x faces) matrix is alive at once.
+    anchor-by-face pair list. One regressed-by-face pair list per iteration
+    feeds both compensation and quality. Memory is O(anchors + overlapping
+    pairs): no anchors x faces matrix is built.
     """
     faces = as_box_array(faces)
-    ious = pairwise_iou(grid.boxes, faces)
-    first = first_step_from_ious(grid, faces, ious, match)
-    ref, overlap = _pull_targets(grid.boxes, faces, ious)
-    del ious
+    pairs = overlaps(grid.boxes, faces)
+    first = first_step_from_overlaps(grid, faces, pairs, match)
+    ref, overlap = _pull_targets(grid.boxes, faces, pairs)
     for t in range(n_iters):
         regressed = _regress(grid.boxes, ref, overlap, model, t, stream)
-        ious = pairwise_iou(regressed, faces)
-        assigned = _compensate(first, grid, faces, ious, comp)
-        quality = _quality(ious)
-        del ious
+        pairs = overlaps(regressed, faces)
+        assigned = _compensate(first, grid, faces, pairs, comp)
+        quality = _quality(pairs, len(grid))
         yield MinedIteration(t, first, assigned, regressed, quality, ignore_mask(assigned, quality))
 
 
@@ -273,7 +272,11 @@ def run_simulation(
         for it in mine_image(grid, faces, model, n_iters, i, match_params, comp_params):
             probs = sigmoid(scorer_scale * it.quality.F + scorer_bias)
             cls = regression_aware_cls_loss(probs, it.assigned, it.quality, it.ignore, loss_params)
-            loc = location_loss(encode_boxes(grid.boxes, it.regressed), it.assigned, loss_params)
+            # The location loss reads only the positive rows.
+            pos = it.assigned.positive
+            deltas = np.full(it.regressed.shape, np.nan)
+            deltas[pos] = encode_boxes(grid.boxes[pos], it.regressed[pos])
+            loc = location_loss(deltas, it.assigned, loss_params)
             comp_mask = it.assigned.source == SOURCE_HAMBOX
             com_ious = elementwise_iou(it.regressed[comp_mask], faces[it.assigned.face_of[comp_mask]])
             rows.append((

@@ -47,6 +47,9 @@ class TestMatchParams:
     def test_threshold_range(self):
         with pytest.raises(ValueError, match="iou_threshold"):
             MatchParams(iou_threshold=1.5)
+        # At 0, an anchor overlapping no face would be a positive of face 0.
+        with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\]"):
+            MatchParams(iou_threshold=0.0)
         with pytest.raises(ValueError, match="nams_stage2_floor"):
             MatchParams(nams_stage2_floor=-0.1)
 

@@ -1,5 +1,9 @@
 import json
+import platform
+import resource
+import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,3 +400,53 @@ def test_seed_flag_lands_in_config(tmp_path):
     manifest = json.loads(read(out / "manifest.json"))
     assert manifest["seed"] == 7
     assert manifest["config"]["simulator"]["seed"] == 7
+
+
+def test_zero_iou_threshold_exit_2(tmp_path, annotations, capsys):
+    # At 0 every anchor, even one overlapping no face, would match face 0.
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text("[match]\niou_threshold = 0\n")
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "run"), "assign", "--annotations", annotations]
+    assert main(argv) == 2
+    assert "iou_threshold must be in (0, 1], got 0.0" in capsys.readouterr().err
+
+
+def test_crowd_of_2000_faces_memory_bounded(tmp_path):
+    """One image of 2,000 small faces through hambox assign: memory is O(anchors + pairs).
+
+    The grid holds about 160k anchors, so one dense anchors x faces float64
+    matrix alone would take 2.6 GB; the run stays under 150 MB.
+    """
+    rng = np.random.default_rng(0)
+    lines = ["crowd/0.jpg", "2000"]
+    for i in range(2000):
+        row, col = divmod(i, 45)
+        w, h = rng.integers(5, 20, size=2)
+        lines.append(f"{col * 24 + rng.integers(0, 4)} {row * 24 + rng.integers(0, 4)} {w} {h} 0 0 0 0 0 0")
+    gt = tmp_path / "gt.txt"
+    gt.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        rc = main(["--out", str(tmp_path / "run"), "assign", "--annotations", str(gt), "--strategy", "hambox"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 150e6
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="allocator thresholds are set through glibc's mallopt",
+)
+def test_freed_work_arrays_stay_in_the_heap(tmp_path):
+    """After a CLI run, a freed 16 MB array is reused without new page faults.
+
+    Under glibc's moving thresholds the block could be unmapped, or trimmed
+    off the heap top, and faulted in again by the next image.
+    """
+    assert main(["--out", str(tmp_path / "run"), "anchors", "--width", "64", "--height", "64"]) == 0
+    np.empty(2 << 20).fill(1.0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.empty(2 << 20).fill(1.0)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256

@@ -204,7 +204,7 @@ _configs = st.builds(
     strategy=st.sampled_from(STRATEGIES),
     match=st.builds(
         MatchParams,
-        iou_threshold=_unit,
+        iou_threshold=st.floats(0.0, 1.0, exclude_min=True),
         nams_stage2_floor=_unit,
         nams_top_n_mode=st.just("mean_matched") | st.integers(min_value=1),
     ),
