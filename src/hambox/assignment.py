@@ -39,6 +39,7 @@ SOURCE_NAMES = {
 }
 
 BACKGROUND = -1
+INT64_MAX = 2**63 - 1  # per-face budgets are int64
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ class MatchParams:
         if isinstance(self.nams_top_n_mode, str):
             if self.nams_top_n_mode != "mean_matched":
                 raise ValueError(f"unknown nams_top_n_mode {self.nams_top_n_mode!r}")
-        elif int(self.nams_top_n_mode) < 1:
-            raise ValueError(f"fixed nams_top_n_mode must be >= 1, got {self.nams_top_n_mode}")
+        elif not 1 <= int(self.nams_top_n_mode) <= INT64_MAX:
+            raise ValueError(f"fixed nams_top_n_mode must be in [1, {INT64_MAX}], got {self.nams_top_n_mode}")
 
 
 @dataclass

@@ -2,8 +2,9 @@
 simulation runs, and the gradient self-check.
 
 Exit codes: 0 success, 1 analysis failure, 2 usage/IO/config error. Every
-command writes a ``manifest.json`` recording the config snapshot, seed, tool
-version, and a sha256 per output file; reruns with identical inputs produce
+command hands its files to ``_emit``, which writes them and a
+``manifest.json`` recording the config snapshot, seed, tool version, and the
+sha256 of each file's bytes as written; reruns with identical inputs produce
 byte-identical outputs regardless of ``--threads``.
 """
 
@@ -14,9 +15,9 @@ import ctypes
 import functools
 import hashlib
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -29,8 +30,10 @@ from .geometry import elementwise_iou
 from .ingest import (
     STRATEGIES,
     ConfigError,
+    DataSettings,
     ImageRecord,
     ToolConfig,
+    _map_images,
     config_as_dict,
     filter_valid,
     load_config,
@@ -71,34 +74,39 @@ def _keep_freed_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+def _rows(template: str, *columns) -> str:
+    """One line per row: `template` filled with that row's entry of every column."""
+    return "".join(map((template + "\n").format, *(np.asarray(c).tolist() for c in columns)))
 
 
-def _write_output(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
-
-
-def _write_manifest(out_dir: Path, cfg: ToolConfig, seed: int, outputs: Sequence[Path]) -> None:
-    checksums = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs
-    }
+def _emit(out: str, cfg: ToolConfig, texts: dict[str, str]) -> int:
+    """Write each named text under `out`, then manifest.json with the sha256
+    of the bytes written."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    checksums = {}
+    for name, text in texts.items():
+        data = text.encode("utf-8")
+        (out_dir / name).write_bytes(data)
+        checksums[name] = hashlib.sha256(data).hexdigest()
     manifest = {
         "tool_version": __version__,
-        "seed": seed,
+        "seed": cfg.simulator.seed,
         "config": config_as_dict(cfg),
         "outputs": checksums,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    return EXIT_OK
 
 
-def _load_dataset(annotations: str, min_side: float) -> list[ImageRecord]:
-    records = filter_valid(load_wider_annotations(annotations), min_side)
+def _load_dataset(data: DataSettings) -> list[ImageRecord]:
+    if data.annotations is None:
+        raise ValueError("no annotations: pass --annotations or set [data] annotations")
+    records = filter_valid(load_wider_annotations(data.annotations), data.min_side)
     if not any(rec.faces for rec in records):
-        raise EmptyDatasetError(f"no valid faces in {annotations}")
+        raise EmptyDatasetError(f"no valid faces in {data.annotations}")
     return records
 
 
@@ -107,6 +115,8 @@ def _parse_ratio_spec(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"ratio spec must be start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"ratio spec must be finite numbers, got {spec!r}")
     if step <= 0:
         raise ValueError(f"ratio step must be > 0, got {step}")
     ratios = []
@@ -121,41 +131,28 @@ def _parse_ratio_spec(spec: str) -> list[float]:
 
 def cmd_anchors(args: argparse.Namespace, cfg: ToolConfig) -> int:
     grid = generate_anchors(cfg.anchors, args.width, args.height)
-    lines = ["level,row,col,x0,y0,x1,y1"]
-    for i in range(len(grid)):
-        r, c = grid.cell_of[i]
-        b = grid.boxes[i]
-        lines.append(
-            f"{grid.level_of[i]},{r},{c},{_fmt(b[0])},{_fmt(b[1])},{_fmt(b[2])},{_fmt(b[3])}"
-        )
-    out = Path(args.out) / "anchors.csv"
-    _write_output(out, "\n".join(lines) + "\n")
-    _write_manifest(Path(args.out), cfg, args.seed, [out])
-    return EXIT_OK
+    rows = _rows("{},{},{},{:.10g},{:.10g},{:.10g},{:.10g}", grid.level_of, *grid.cell_of.T, *grid.boxes.T)
+    return _emit(args.out, cfg, {"anchors.csv": "level,row,col,x0,y0,x1,y1\n" + rows})
 
 
 def cmd_match_stats(args: argparse.Namespace, cfg: ToolConfig) -> int:
     ratios = _parse_ratio_spec(args.ratios)
-    records = _load_dataset(args.annotations, cfg.data.min_side)
+    records = _load_dataset(cfg.data)
     points = scale_ratio_sweep(
         records, cfg.anchors, ratios, cfg.match.iou_threshold, threads=args.threads
     )
-    lines = ["ratio,mean_anchors_per_face,fraction_faces_matched"]
-    for p in points:
-        lines.append(
-            f"{_fmt(p.scale_ratio)},{_fmt(p.mean_anchors_per_face)},{_fmt(p.fraction_faces_matched)}"
-        )
-    out = Path(args.out) / "scale_curve.csv"
-    _write_output(out, "\n".join(lines) + "\n")
-    _write_manifest(Path(args.out), cfg, args.seed, [out])
-    return EXIT_OK
+    rows = _rows("{:.10g},{:.10g},{:.10g}", *zip(*map(astuple, points)))
+    return _emit(args.out, cfg, {"scale_curve.csv": "ratio,mean_anchors_per_face,fraction_faces_matched\n" + rows})
 
 
-def _assign_image(record: ImageRecord, cfg: ToolConfig, seed: int, stream: int) -> list[str]:
+_SOURCE_LABELS = np.array([SOURCE_NAMES[code] for code in sorted(SOURCE_NAMES)])
+
+
+def _assign_image(record: ImageRecord, cfg: ToolConfig, stream: int) -> str:
+    """The image's `assign.csv` rows: its positives, then (hambox) its ignored anchors."""
     faces = record.face_boxes()
     grid = generate_anchors(cfg.anchors, *cover_image_size(faces, cfg.anchors))
-    ignore = None
-    claim_iou = None
+    mined = None
     if cfg.strategy == "sms":
         assignment = match_first_step(grid, faces, cfg.match)
     elif cfg.strategy == "dms":
@@ -163,68 +160,49 @@ def _assign_image(record: ImageRecord, cfg: ToolConfig, seed: int, stream: int) 
     elif cfg.strategy == "nams":
         assignment = match_nams(grid, faces, cfg.match)
     else:  # hambox: compensation against simulated predictions
-        model = RegressorModel(q=cfg.simulator.q, noise_sigma=cfg.simulator.noise_sigma, seed=seed)
+        sim = cfg.simulator
+        model = RegressorModel(q=sim.q, noise_sigma=sim.noise_sigma, seed=sim.seed)
         mined = next(mine_image(grid, faces, model, 1, stream, cfg.match, cfg.compensation))
-        assignment, ignore = mined.assigned, mined.ignore
-        comp = assignment.source > SOURCE_STEP1
-        claim_iou = np.zeros(len(grid))
-        if np.any(comp):
-            claim_iou[comp] = elementwise_iou(mined.regressed[comp], faces[assignment.face_of[comp]])
-        claim_iou[ignore] = mined.quality.F[ignore]
+        assignment = mined.assigned
 
-    lines = []
-    pos = np.flatnonzero(assignment.face_of >= 0)
-    step1_iou = np.zeros(len(grid))
-    if pos.size:
-        step1_iou[pos] = elementwise_iou(grid.boxes[pos], faces[assignment.face_of[pos]])
-    for a in pos:
-        src = SOURCE_NAMES[int(assignment.source[a])]
-        iou_val = step1_iou[a]
-        if claim_iou is not None and assignment.source[a] > SOURCE_STEP1:
-            iou_val = claim_iou[a]
-        lines.append(
-            f"{record.path},{a},{grid.level_of[a]},positive,{assignment.face_of[a]},{src},{_fmt(iou_val)}"
-        )
-    if ignore is not None:
-        for a in np.flatnonzero(ignore):
-            lines.append(
-                f"{record.path},{a},{grid.level_of[a]},ignore,,none,{_fmt(claim_iou[a])}"
-            )
-    return lines
+    pos = np.flatnonzero(assignment.positive)
+    source = assignment.source[pos]
+    face = assignment.face_of[pos]
+    # A positive's IoU is that of the box that earned it: the anchor, or its
+    # regressed box when compensated online.
+    boxes = grid.boxes[pos]
+    if mined is not None:
+        comp = source > SOURCE_STEP1
+        boxes[comp] = mined.regressed[pos[comp]]
+    path = record.path.replace("{", "{{").replace("}", "}}")
+    text = _rows(
+        path + ",{},{},positive,{},{},{:.10g}",
+        pos, grid.level_of[pos], face, _SOURCE_LABELS[source], elementwise_iou(boxes, faces[face]),
+    )
+    if mined is not None:
+        ign = np.flatnonzero(mined.ignore)
+        text += _rows(path + ",{},{},ignore,,none,{:.10g}", ign, grid.level_of[ign], mined.quality.F[ign])
+    return text
 
 
 def cmd_assign(args: argparse.Namespace, cfg: ToolConfig) -> int:
-    records = _load_dataset(args.annotations, cfg.data.min_side)
-
-    def work(i: int) -> list[str]:
-        return _assign_image(records[i], cfg, args.seed, i)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            blocks = list(pool.map(work, range(len(records))))
-    else:
-        blocks = [work(i) for i in range(len(records))]
-    lines = ["image,anchor,level,label,face,source,iou"]
-    for block in blocks:
-        lines.extend(block)
-    out = Path(args.out) / "assign.csv"
-    _write_output(out, "\n".join(lines) + "\n")
-    _write_manifest(Path(args.out), cfg, args.seed, [out])
-    return EXIT_OK
+    records = _load_dataset(cfg.data)
+    blocks = _map_images(lambda i: _assign_image(records[i], cfg, i), len(records), args.threads)
+    return _emit(args.out, cfg, {"assign.csv": "image,anchor,level,label,face,source,iou\n" + "".join(blocks)})
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: ToolConfig) -> int:
     sim = cfg.simulator
-    if args.annotations:
-        dataset = _load_dataset(args.annotations, cfg.data.min_side)
+    if cfg.data.annotations is not None:
+        dataset = _load_dataset(cfg.data)
         image_size = None
     else:
-        dataset = synthetic_dataset(args.synthetic_images, seed=args.seed)
+        dataset = synthetic_dataset(args.synthetic_images, seed=sim.seed)
         image_size = (640, 640)
     ramp = None
     if sim.quality_ramp is not None:
         ramp = linear_ramp(sim.quality_ramp[0], sim.quality_ramp[1], args.iters)
-    model = RegressorModel(q=sim.q, noise_sigma=sim.noise_sigma, seed=args.seed, quality_ramp=ramp)
+    model = RegressorModel(q=sim.q, noise_sigma=sim.noise_sigma, seed=sim.seed, quality_ramp=ramp)
     records, report = run_simulation(
         dataset,
         cfg.anchors,
@@ -239,29 +217,23 @@ def cmd_simulate(args: argparse.Namespace, cfg: ToolConfig) -> int:
         threads=args.threads,
         provenance=args.provenance,
     )
-    lines = ["iter,cls_com,cls_norm,loc_com,loc_norm,n_com,mean_com_iou,n_ignored"]
-    for r in records:
-        mean = "" if r.mean_compensated_iou is None else _fmt(r.mean_compensated_iou)
-        lines.append(
-            f"{r.iteration},{_fmt(r.cls_compensated)},{_fmt(r.cls_normal)},"
-            f"{_fmt(r.loc_compensated)},{_fmt(r.loc_normal)},{r.n_compensated},{mean},{r.n_ignored}"
-        )
-    out = Path(args.out) / "simulation.csv"
-    _write_output(out, "\n".join(lines) + "\n")
-    outputs = [out]
+    # SimulationRecord's fields are the CSV's columns; mean_com_iou is empty when unset.
+    columns = list(zip(*map(astuple, records)))
+    columns[6] = ["" if m is None else f"{m:.10g}" for m in columns[6]]
+    texts = {
+        "simulation.csv": "iter,cls_com,cls_norm,loc_com,loc_norm,n_com,mean_com_iou,n_ignored\n"
+        + _rows("{},{:.10g},{:.10g},{:.10g},{:.10g},{},{},{}", *columns)
+    }
     if report is not None:
-        prov = Path(args.out) / "provenance.csv"
-        _write_output(prov, provenance_csv(report))
-        outputs.append(prov)
-    _write_manifest(Path(args.out), cfg, args.seed, outputs)
-    return EXIT_OK
+        texts["provenance.csv"] = provenance_csv(report)
+    return _emit(args.out, cfg, texts)
 
 
 def cmd_loss_check(args: argparse.Namespace, cfg: ToolConfig) -> int:
     if args.trials < 1:
         print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
         return EXIT_USAGE
-    worst, worst_case = gradient_check(args.seed, args.trials, corrupt=args.corrupt_gradient)
+    worst, worst_case = gradient_check(cfg.simulator.seed, args.trials, corrupt=args.corrupt_gradient)
     print(f"max relative gradient error over {args.trials} trials: {worst:.3e}")
     if worst >= 1e-4:
         print(f"worst case: {worst_case}", file=sys.stderr)
@@ -286,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_anchors)
 
     p = sub.add_parser("match-stats", help="scale-ratio matching sweep")
-    p.add_argument("--annotations", required=True)
+    p.add_argument("--annotations", default=None, help="override of [data] annotations")
     p.add_argument("--ratios", default="0.68:0.68:1", help="start:stop:step")
     p.set_defaults(func=cmd_match_stats)
 
     p = sub.add_parser("assign", help="dump per-image assignments")
-    p.add_argument("--annotations", required=True)
+    p.add_argument("--annotations", default=None, help="override of [data] annotations")
     p.add_argument("--strategy", choices=STRATEGIES, default=None, help="matcher override")
     p.add_argument("--sim-quality", type=float, default=None, help="regressor quality q override for hambox")
     p.add_argument("--T", type=float, default=None, help="online admission threshold override")
@@ -299,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_assign)
 
     p = sub.add_parser("simulate", help="run the simulated training loop")
-    p.add_argument("--annotations", default=None)
+    p.add_argument("--annotations", default=None, help="override of [data] annotations")
     p.add_argument("--synthetic-images", type=int, default=20)
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--T", type=float, default=None, help="online admission threshold override")
@@ -340,10 +312,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = replace(cfg, simulator=replace(cfg.simulator, **sim))
         comp = {k: flags[k] for k in ("T", "K") if k in flags}
         cfg = replace(cfg, compensation=replace(cfg.compensation, **comp))
+        if "annotations" in flags:
+            cfg = replace(cfg, data=replace(cfg.data, annotations=flags["annotations"]))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    args.seed = cfg.simulator.seed
     try:
         return args.func(args, cfg)
     except FileNotFoundError as exc:

@@ -18,9 +18,10 @@ import configparser
 import io
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields, is_dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -233,6 +234,18 @@ def filter_valid(records: Sequence[ImageRecord], min_side: float = 0.0) -> list[
     return out
 
 
+_T = TypeVar("_T")
+
+
+def _map_images(work: Callable[[int], _T], n: int, threads: int) -> list[_T]:
+    """[work(0), ..., work(n - 1)], in image order; on a pool of `threads`
+    workers when `threads` > 1. The one image walk of every command."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, range(n)))
+    return [work(i) for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # Tool configuration
 
@@ -395,7 +408,7 @@ def load_config(path: str | Path) -> ToolConfig:
     """Read and validate a config file; an empty or missing-section file is all defaults."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
 

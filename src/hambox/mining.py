@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .anchors import AnchorGrid
-from .assignment import BACKGROUND, SOURCE_HAMBOX, SOURCE_STEP1, Assignment, claim_best
+from .assignment import BACKGROUND, INT64_MAX, SOURCE_HAMBOX, SOURCE_STEP1, Assignment, claim_best
 from .geometry import Box, Overlaps, as_box_array, overlaps
 
 HIGH_QUALITY_IOU = 0.5
@@ -38,8 +38,8 @@ class CompensationParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.T <= 1.0:
             raise ValueError(f"T must be in [0, 1], got {self.T}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+        if not 1 <= self.K <= INT64_MAX:
+            raise ValueError(f"K must be in [1, {INT64_MAX}], got {self.K}")
 
 
 @dataclass

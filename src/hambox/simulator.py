@@ -15,7 +15,6 @@ evaluation order or thread count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -30,7 +29,7 @@ from .anchors import (
 )
 from .assignment import SOURCE_HAMBOX, Assignment, MatchParams, first_step_from_overlaps
 from .geometry import Box, Overlaps, as_box_array, elementwise_iou, encode_boxes, overlaps
-from .ingest import FaceAnnotation, ImageRecord
+from .ingest import FaceAnnotation, ImageRecord, _map_images
 from .losses import (
     LossParams,
     location_loss,
@@ -292,12 +291,7 @@ def run_simulation(
                 report = provenance_report(it.first, grid, it.quality, it.regressed, probs, faces, 0.5)
         return rows, report
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_image = list(pool.map(work, range(len(dataset))))
-    else:
-        per_image = [work(i) for i in range(len(dataset))]
-
+    per_image = _map_images(work, len(dataset), threads)
     records: list[SimulationRecord] = []
     for t in range(n_iters):
         cls_com, cls_norm, loc_com, loc_norm, n_com, iou_sum, n_ign = (

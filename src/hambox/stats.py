@@ -11,7 +11,6 @@ grid (the tests assert this).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 from .anchors import AnchorConfig, AnchorGrid, cover_image_size, grid_shape
 from .assignment import BACKGROUND, SOURCE_STEP1, Assignment
 from .geometry import Box, as_box_array, elementwise_iou, nms
-from .ingest import ImageRecord, filter_valid
+from .ingest import ImageRecord, _map_images, filter_valid
 from .mining import HIGH_QUALITY_IOU, AnchorQuality
 
 CPBB_IOU = 0.5  # a prediction is correct when it clears this IoU against some face
@@ -171,12 +170,7 @@ def dataset_census(
         size = image_sizes[i] if image_sizes is not None else None
         return _image_census(face_sets[i], config, iou_threshold, size)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(len(dataset))))
-    else:
-        results = [work(i) for i in range(len(dataset))]
-
+    results = _map_images(work, len(dataset), threads)
     total_faces = sum(f.shape[0] for f in face_sets)
     matched = sum(int(np.count_nonzero(c > 0)) for c, _ in results)
     positives = sum(int(c.sum()) for c, _ in results)
@@ -256,35 +250,24 @@ def provenance_report(
     n_faces = faces.shape[0]
     faces_matched = int(np.count_nonzero(assignment.matched_count > 0)) if n_faces else 0
 
-    def faces_with_correct_prediction(anchor_mask: np.ndarray) -> int:
-        mask = anchor_mask & step1
-        if not np.any(mask):
-            return 0
-        own_face = assignment.face_of[mask]
-        ious = elementwise_iou(regressed[mask], faces[own_face])
-        return int(np.unique(own_face[ious > CPBB_IOU]).size)
-
-    all_anchors = np.ones(assignment.n_anchors, dtype=bool)
-    faces_cpbb = faces_with_correct_prediction(all_anchors)
+    # Step-1 anchors whose regressed box is a correct prediction of their own face.
+    step1_idx = np.flatnonzero(step1)
+    own = assignment.face_of[step1_idx]
+    good = elementwise_iou(regressed[step1_idx], faces[own]) > CPBB_IOU
+    faces_cpbb = np.unique(own[good]).size
 
     # Post-NMS survival of an anchor depends only on boxes of equal or higher
     # score, so suppression is run on that subset of the dump; verdicts for
     # the queried step-1 anchors are identical to full-set NMS.
-    queried = np.zeros(assignment.n_anchors, dtype=bool)
-    if np.any(step1):
-        own = assignment.face_of[step1]
-        good = elementwise_iou(regressed[step1], faces[own]) > CPBB_IOU
-        queried[np.flatnonzero(step1)[good]] = True
-    kept_mask = np.zeros(assignment.n_anchors, dtype=bool)
-    if np.any(queried):
-        subset = np.flatnonzero(scores >= scores[queried].min())
-        kept = nms(regressed[subset], scores[subset], nms_threshold)
-        kept_mask[subset[kept]] = True
-    faces_cpbb_post = faces_with_correct_prediction(kept_mask)
+    survived = np.zeros(good.size, dtype=bool)
+    if np.any(good):
+        subset = np.flatnonzero(scores >= scores[step1_idx[good]].min())
+        kept_mask = np.zeros(assignment.n_anchors, dtype=bool)
+        kept_mask[subset[nms(regressed[subset], scores[subset], nms_threshold)]] = True
+        survived = good & kept_mask[step1_idx]
+    faces_cpbb_post = np.unique(own[survived]).size
 
-    iou_cdf = np.sort(
-        elementwise_iou(grid.boxes[step1], faces[assignment.face_of[step1]])
-    ) if np.any(step1) else np.zeros(0)
+    iou_cdf = np.sort(elementwise_iou(grid.boxes[step1_idx], faces[own]))
     return ProvenanceReport(
         n_cpbb=n_cpbb,
         n_cpbb_from_matched=n_cpbb_matched,

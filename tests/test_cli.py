@@ -450,3 +450,130 @@ def test_freed_work_arrays_stay_in_the_heap(tmp_path):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     np.empty(2 << 20).fill(1.0)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256
+
+
+def test_non_utf8_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "conf.ini"
+    cfg.write_bytes(b"[simulator]\nq = 0.5 \xff\xfe\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "anchors"]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+INT64_MAX = 2**63 - 1
+HUGE_BUDGETS = {
+    "K-config": ("[compensation]\nk = 100000000000000000000\n", [], "K must be in [1, 9223372036854775807]"),
+    "K-flag": ("", ["--K", "100000000000000000000"], "K must be in [1, 9223372036854775807]"),
+    "K-flag-2**63": ("", ["--K", str(INT64_MAX + 1)], "K must be in [1, 9223372036854775807]"),
+    "top-n-config": (
+        "[match]\nnams_top_n_mode = 100000000000000000000\n",
+        [],
+        "nams_top_n_mode must be in [1, 9223372036854775807]",
+    ),
+}
+
+
+@pytest.mark.parametrize("config,flags,message", HUGE_BUDGETS.values(), ids=HUGE_BUDGETS.keys())
+def test_budget_beyond_int64_exit_2(tmp_path, annotations, capsys, config, flags, message):
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text(config)
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "run"), "assign", "--annotations", annotations]
+    assert main(argv + ["--strategy", "hambox"] + flags) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_budgets_at_int64_max_run(tmp_path, annotations):
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text(f"[match]\nnams_top_n_mode = {INT64_MAX}\n")
+    base = ["--config", str(cfg), "--out", str(tmp_path / "run"), "assign", "--annotations", annotations]
+    assert main(base + ["--strategy", "nams"]) == 0
+    assert main(base + ["--strategy", "hambox", "--K", str(INT64_MAX)]) == 0
+
+
+@pytest.mark.parametrize("spec", ["1:inf:1", "-inf:1:0.1", "0.5:1:nan"])
+def test_non_finite_ratio_spec_exit_2(tmp_path, annotations, capsys, spec):
+    argv = ["--out", str(tmp_path / "run"), "match-stats", "--annotations", annotations, f"--ratios={spec}"]
+    assert main(argv) == 2
+    assert "ratio spec must be finite numbers" in capsys.readouterr().err
+
+
+ANNOTATED_COMMANDS = {
+    "match-stats": (["match-stats"], ["scale_curve.csv"]),
+    "assign": (["assign", "--strategy", "hambox"], ["assign.csv"]),
+    "simulate": (["simulate", "--iters", "2", "--provenance"], ["simulation.csv", "provenance.csv"]),
+}
+
+
+class TestDataAnnotations:
+    """`[data] annotations` names the annotation file; `--annotations` overrides it."""
+
+    def run(self, tmp_path, name, command, config="", flag=None):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(config)
+        out = tmp_path / name
+        argv = ["--config", str(cfg), "--out", str(out), "--seed", "3"] + command[:1]
+        argv += ([] if flag is None else ["--annotations", flag]) + command[1:]
+        return main(argv), out
+
+    @pytest.mark.parametrize("command,files", ANNOTATED_COMMANDS.values(), ids=ANNOTATED_COMMANDS.keys())
+    def test_config_flag_and_override_read_the_same_file(self, tmp_path, annotations, command, files):
+        runs = {
+            "config": {"config": f"[data]\nannotations = {annotations}\n"},
+            "flag": {"flag": annotations},
+            "override": {"config": "[data]\nannotations = /nope/gt.txt\n", "flag": annotations},
+        }
+        outputs = {}
+        for name, kwargs in runs.items():
+            code, out = self.run(tmp_path, name, command, **kwargs)
+            assert code == 0, name
+            assert json.loads(read(out / "manifest.json"))["config"]["data"]["annotations"] == annotations
+            outputs[name] = [(out / f).read_bytes() for f in files]
+        assert outputs["config"] == outputs["flag"] == outputs["override"]
+
+    def test_config_file_that_is_missing_exit_2(self, tmp_path):
+        code, _ = self.run(tmp_path, "run", ["assign"], config="[data]\nannotations = /nope/gt.txt\n")
+        assert code == 2
+
+    @pytest.mark.parametrize("command", [["match-stats"], ["assign"]], ids=["match-stats", "assign"])
+    def test_neither_flag_nor_key_exit_2(self, tmp_path, capsys, command):
+        code, out = self.run(tmp_path, "run", command)
+        assert code == 2
+        assert "pass --annotations or set [data] annotations" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_simulate_without_annotations_is_synthetic(self, tmp_path):
+        code, out = self.run(tmp_path, "run", ["simulate", "--synthetic-images", "2", "--iters", "1"])
+        assert code == 0
+        assert json.loads(read(out / "manifest.json"))["config"]["data"]["annotations"] is None
+
+
+def test_assign_writes_image_path_verbatim(tmp_path):
+    """Braces and percent signs in an image path are not format directives."""
+    path = "odd/{0}%s/{x}}{%d.jpg"
+    gt = tmp_path / "gt.txt"
+    gt.write_text(f"{path}\n1\n100 150 28 28 0 0 0 0 0 0\nplain.jpg\n1\n60 80 28 28 0 0 0 0 0 0\n")
+    for strategy in ("sms", "hambox"):
+        out = tmp_path / strategy
+        argv = ["--out", str(out), "assign", "--annotations", str(gt), "--strategy", strategy, "--sim-quality", "1"]
+        assert main(argv) == 0
+        rows = read(out / "assign.csv").splitlines()[1:]
+        assert rows
+        assert {row.rsplit(",", 6)[0] for row in rows} == {path, "plain.jpg"}
+        assert all(len(row.rsplit(",", 6)) == 7 for row in rows)
+
+
+def test_anchors_csv_at_non_square_size(tmp_path):
+    """Every row of a non-square grid: the level, (row, col) cell and box of its anchor."""
+    from hambox.anchors import default_hambox_config, generate_anchors
+
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "anchors", "--width", "97", "--height", "61"]) == 0
+    grid = generate_anchors(default_hambox_config(), 97, 61)
+    want = ["level,row,col,x0,y0,x1,y1"] + [
+        f"{level},{r},{c}," + ",".join(f"{v:.10g}" for v in box)
+        for level, (r, c), box in zip(grid.level_of, grid.cell_of, grid.boxes)
+    ]
+    assert read(out / "anchors.csv").splitlines() == want
+    # 97 x 61 at stride 4 is 25 columns by 16 rows.
+    assert want[1:3] == ["0,0,0,-3.44,-3.44,7.44,7.44", "0,0,1,0.56,-3.44,11.44,7.44"]
+    assert want[25] == "0,0,24,92.56,-3.44,103.44,7.44"
+    assert want[26].startswith("0,1,0,")

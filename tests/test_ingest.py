@@ -198,6 +198,7 @@ def _levels(draw):
     return tuple(zip(strides, scales))
 
 
+_budgets = st.integers(1, 2**63 - 1)  # per-face budgets are int64
 _configs = st.builds(
     ToolConfig,
     anchors=st.builds(AnchorConfig, levels=_levels(), scale_ratio=_positive, aspect_ratio=_positive),
@@ -206,9 +207,9 @@ _configs = st.builds(
         MatchParams,
         iou_threshold=st.floats(0.0, 1.0, exclude_min=True),
         nams_stage2_floor=_unit,
-        nams_top_n_mode=st.just("mean_matched") | st.integers(min_value=1),
+        nams_top_n_mode=st.just("mean_matched") | _budgets,
     ),
-    compensation=st.builds(CompensationParams, T=_unit, K=st.integers(min_value=1)),
+    compensation=st.builds(CompensationParams, T=_unit, K=_budgets),
     loss=st.builds(
         LossParams,
         alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),

@@ -1,0 +1,175 @@
+"""Check that two hambox source trees write the same bytes for every CLI command.
+
+    python3 tools/byte_identity.py BASE_SRC CHANGE_SRC [--allow FIELD ...]
+
+BASE_SRC and CHANGE_SRC are the `src` directories of two checkouts, for
+example a `git archive` of the parent commit and the working tree. Run from
+the root of a checkout: the seeded inputs are written by that checkout's
+`benchmarks/inputs.py` (the crowd, census and sim-train inputs of seeds 1
+and 7, plus hand-set variants), so both trees read the same files.
+
+Every invocation runs in its own `python -m hambox.cli` subprocess with
+PYTHONPATH set to one tree. Per invocation the tool compares the exit code,
+stdout, the set of files written, the sha256 of every output file and every
+field of `manifest.json` (nested keys joined with dots, such as
+`config.data.annotations`). It also checks that each manifest's `outputs`
+holds the sha256 of the file on disk. A field named with `--allow` is
+reported when it differs but does not count as a mismatch. The exit code is
+1 on any other mismatch, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 7)
+STRATEGIES = ("sms", "dms", "nams", "hambox")
+
+
+def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
+    """Write the inputs under `work`; return (name, argv) pairs with OUT for the output directory."""
+    sys.path[:0] = [str(ROOT / "benchmarks"), str(ROOT)]
+    import inputs
+    from tests import oracles
+
+    def gt(name: str, images) -> str:
+        path = work / name
+        path.write_text(inputs.format_wider(images), encoding="utf-8")
+        return str(path)
+
+    def ini(name: str, text: str) -> str:
+        path = work / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    census = inputs.census_images(3)
+    small = gt("small_gt.txt", census[:8])
+    braces = gt("braces_gt.txt", [replace(im, path=f"odd/{{x}}%d/{i}}}{{.jpg") for i, im in enumerate(census[8:14])])
+    grid_ini = ini("grid.ini", "[anchors]\nstrides = 16, 32\nbase_scales = 40, 80\nscale_ratio = 1.0\n")
+    noisy_ini = ini("noisy.ini", "[simulator]\nnoise_sigma = 0.05\nq = 0.8\n[compensation]\nk = 5\n")
+    min_side_ini = ini("min_side.ini", "[data]\nmin_side = 6\n")
+
+    runs = [
+        ("anchors-640", ["anchors"]),
+        ("anchors-2048", ["anchors", "--width", "2048", "--height", "2048"]),
+        ("anchors-97x61", ["anchors", "--width", "97", "--height", "61"]),
+        ("anchors-config", ["--config", grid_ini, "anchors", "--width", "300", "--height", "170"]),
+        ("match-stats-default", ["match-stats", "--annotations", small]),
+        ("match-stats-sweep", ["--threads", "2", "match-stats", "--annotations", small, "--ratios", "0.3:1.2:0.1"]),
+        ("match-stats-min-side", ["--config", min_side_ini, "match-stats", "--annotations", small,
+                                  "--ratios", "0.5:0.9:0.2"]),
+        ("match-stats-bad-ratio", ["match-stats", "--annotations", small, "--ratios", "1:0:1"]),
+        ("simulate-synthetic", ["--seed", "4", "simulate", "--synthetic-images", "3", "--iters", "3", "--provenance"]),
+        ("simulate-threads", ["--seed", "4", "--threads", "2", "simulate", "--synthetic-images", "3", "--iters", "2"]),
+        ("simulate-annotations", ["--seed", "2", "simulate", "--annotations", small, "--iters", "2", "--provenance"]),
+        ("simulate-noisy", ["--config", noisy_ini, "--seed", "9", "simulate", "--synthetic-images", "2", "--iters", "2"]),
+        ("loss-check", ["--seed", "3", "loss-check", "--trials", "5"]),
+    ]
+    for strategy in STRATEGIES:
+        for threads in ("1", "2"):
+            runs.append((f"assign-{strategy}-t{threads}", ["--seed", "5", "--threads", threads, "assign",
+                                                           "--annotations", small, "--strategy", strategy]))
+    for strategy in ("sms", "hambox"):
+        runs.append((f"assign-braces-{strategy}", ["assign", "--annotations", braces, "--strategy", strategy]))
+    runs.append(("assign-noisy", ["--config", noisy_ini, "assign", "--annotations", small, "--strategy", "hambox"]))
+    runs.append(("assign-T-K", ["--seed", "6", "assign", "--annotations", small, "--strategy", "hambox",
+                                "--sim-quality", "1.0", "--T", "0.6", "--K", "4"]))
+    for seed in SEEDS:
+        for workload in ("sim-train", "crowd-assign", "wider-census"):
+            spec = inputs.write_inputs(workload, seed, work / f"{workload}-{seed}", oracles)
+            for inv in spec["invocations"]:
+                argv = list(inv["argv"])
+                argv[argv.index("--out") + 1] = "OUT"
+                runs.append((f"{workload}-{seed}-{inv['name']}", argv))
+    for i, (name, argv) in enumerate(runs):
+        if "--out" not in argv:
+            runs[i] = (name, ["--out", "OUT"] + argv)
+    return runs
+
+
+def run_tree(src: str, argv: list[str], out: Path) -> dict:
+    """Run one invocation against one tree; return what it wrote and printed."""
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "hambox.cli", *argv], env=env, capture_output=True, text=True)
+    files = {}
+    manifest = {}
+    if out.is_dir():
+        for path in sorted(out.iterdir()):
+            if path.name == "manifest.json":
+                manifest = flatten(json.loads(path.read_text(encoding="utf-8")))
+            else:
+                files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"code": proc.returncode, "stdout": proc.stdout, "files": files, "manifest": manifest}
+
+
+def flatten(obj, prefix: str = "") -> dict:
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            out.update(flatten(v, f"{prefix}{k}."))
+        return out
+    return {prefix[:-1]: obj}
+
+
+def compare(base: dict, change: dict, allow: set[str]) -> tuple[list[str], list[str]]:
+    """(mismatches, allowed differences) between two runs of one invocation."""
+    bad, allowed = [], []
+    for key in ("code", "stdout"):
+        if base[key] != change[key]:
+            bad.append(f"{key}: {base[key]!r} vs {change[key]!r}")
+    for name in sorted(base["files"].keys() | change["files"].keys()):
+        if base["files"].get(name) != change["files"].get(name):
+            bad.append(f"{name} differs")
+    for side, run in (("base", base), ("change", change)):
+        for name, digest in run["files"].items():
+            if run["manifest"].get(f"outputs.{name}") != digest:
+                bad.append(f"{side} manifest outputs.{name} is not the sha256 of the file")
+    for field in sorted(base["manifest"].keys() | change["manifest"].keys()):
+        b, c = base["manifest"].get(field), change["manifest"].get(field)
+        if b != c:
+            (allowed if field in allow else bad).append(f"manifest {field}: {b!r} vs {c!r}")
+    return bad, allowed
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--allow", action="append", default=[], metavar="FIELD",
+                        help="manifest field whose differences are reported but allowed")
+    args = parser.parse_args()
+    srcs = {"base": str(Path(args.base_src).resolve()), "change": str(Path(args.change_src).resolve())}
+    for src in srcs.values():
+        if not (Path(src) / "hambox" / "cli.py").is_file():
+            print(f"error: {src} holds no hambox package", file=sys.stderr)
+            return 2
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="byte-identity-") as tmp:
+        work = Path(tmp)
+        runs = write_inputs(work)
+        for name, argv in runs:
+            result = {side: run_tree(src, argv, work / side / name) for side, src in srcs.items()}
+            bad, allowed = compare(result["base"], result["change"], set(args.allow))
+            files = ", ".join(result["base"]["files"]) or "no files"
+            print(f"{'DIFF' if bad else 'same'} {name} (exit {result['base']['code']}; {files})")
+            for line in bad:
+                print(f"    mismatch: {line}")
+            for line in allowed:
+                print(f"    allowed: {line}")
+            failed += bool(bad)
+    print(f"{len(runs) - failed} of {len(runs)} invocations identical")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
