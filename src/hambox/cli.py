@@ -47,6 +47,8 @@ EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_USAGE = 2
 
+MAX_RATIOS = 10_000  # a --ratios spec that yields more exits 2
+
 # glibc mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -122,6 +124,8 @@ def _parse_ratio_spec(spec: str) -> list[float]:
     ratios = []
     r = start
     while r <= stop + 1e-9:
+        if len(ratios) == MAX_RATIOS:
+            raise ValueError(f"ratio spec {spec!r} yields more than {MAX_RATIOS} ratios")
         ratios.append(round(r, 12))
         r += step
     if not ratios:
@@ -138,9 +142,7 @@ def cmd_anchors(args: argparse.Namespace, cfg: ToolConfig) -> int:
 def cmd_match_stats(args: argparse.Namespace, cfg: ToolConfig) -> int:
     ratios = _parse_ratio_spec(args.ratios)
     records = _load_dataset(cfg.data)
-    points = scale_ratio_sweep(
-        records, cfg.anchors, ratios, cfg.match.iou_threshold, threads=args.threads
-    )
+    points = scale_ratio_sweep(records, cfg.anchors, ratios, cfg.match.iou_threshold)
     rows = _rows("{:.10g},{:.10g},{:.10g}", *zip(*map(astuple, points)))
     return _emit(args.out, cfg, {"scale_curve.csv": "ratio,mean_anchors_per_face,fraction_faces_matched\n" + rows})
 

@@ -4,9 +4,11 @@ The dataset-level counters use a windowed candidate search instead of
 materializing full anchor grids: a face can only hold anchors whose center
 falls inside its overlap window, and a (face, level) pair whose box areas
 differ by more than the IoU threshold allows can never produce a positive.
-Within the candidate set the per-anchor argmax and tie-breaks are identical
-to the dense matcher, so counts agree exactly with brute force over the full
-grid (the tests assert this).
+One window search covers every pyramid level. Within the candidate set the
+per-anchor argmax and tie-breaks are identical to the dense matcher, so
+counts agree exactly with brute force over the full grid (the tests assert
+this). A run walks the dataset once, reducing each image to a few integers
+per anchor config, so a scale-ratio sweep reads every record once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchors import AnchorConfig, AnchorGrid, cover_image_size, grid_shape
+from .anchors import AnchorConfig, AnchorGrid, cover_image_size
 from .assignment import BACKGROUND, SOURCE_STEP1, Assignment
 from .geometry import Box, as_box_array, elementwise_iou, nms
 from .ingest import ImageRecord, _map_images, filter_valid
@@ -90,63 +92,75 @@ def _image_census(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-face positive counts (F,) and per-face-per-level matched flags (F, L)."""
     n_faces = faces.shape[0]
-    n_levels = len(config.levels)
-    counts = np.zeros(n_faces, dtype=np.int64)
-    level_hit = np.zeros((n_faces, n_levels), dtype=bool)
-    if n_faces == 0:
-        return counts, level_hit
     w, h = image_size if image_size is not None else cover_image_size(faces, config)
-    face_w = faces[:, 2] - faces[:, 0]
-    face_h = faces[:, 3] - faces[:, 1]
-    face_area = face_w * face_h
-    for li, (stride, _) in enumerate(config.levels):
-        rows, cols = grid_shape(stride, w, h)
-        aw, ah = config.anchor_size(li)
-        a_area = aw * ah
-        # Area-ratio bound: IoU <= min(A_a, A_f) / max(A_a, A_f).
-        bound = np.minimum(a_area, face_area) / np.maximum(a_area, face_area)
-        cand = np.flatnonzero(bound >= iou_threshold)
-        if cand.size == 0:
-            continue
-        col_lo = np.clip(np.ceil((faces[cand, 0] - aw / 2.0) / stride - 0.5), 0, cols - 1).astype(np.int64)
-        col_hi = np.clip(np.floor((faces[cand, 2] + aw / 2.0) / stride - 0.5), 0, cols - 1).astype(np.int64)
-        row_lo = np.clip(np.ceil((faces[cand, 1] - ah / 2.0) / stride - 0.5), 0, rows - 1).astype(np.int64)
-        row_hi = np.clip(np.floor((faces[cand, 3] + ah / 2.0) / stride - 0.5), 0, rows - 1).astype(np.int64)
-        n_cols = col_hi - col_lo + 1
-        n_rows = row_hi - row_lo + 1
-        keep = (n_cols > 0) & (n_rows > 0)
-        if not np.any(keep):
-            continue
-        cand, col_lo, col_hi, row_lo, row_hi, n_cols, n_rows = (
-            arr[keep] for arr in (cand, col_lo, col_hi, row_lo, row_hi, n_cols, n_rows)
-        )
-        # Expand each face window into (face, row, col) candidate triples.
-        per_face = n_cols * n_rows
-        face_idx = np.repeat(np.arange(cand.size), per_face)
-        offs = np.arange(per_face.sum()) - np.repeat(np.cumsum(per_face) - per_face, per_face)
-        rr = row_lo[face_idx] + offs // n_cols[face_idx]
-        cc = col_lo[face_idx] + offs % n_cols[face_idx]
-        cx = cc.astype(np.float64) * stride + stride / 2.0
-        cy = rr.astype(np.float64) * stride + stride / 2.0
-        fb = faces[cand[face_idx]]
-        iw = np.minimum(cx + aw / 2.0, fb[:, 2]) - np.maximum(cx - aw / 2.0, fb[:, 0])
-        ih = np.minimum(cy + ah / 2.0, fb[:, 3]) - np.maximum(cy - ah / 2.0, fb[:, 1])
-        inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-        union = a_area + face_area[cand[face_idx]] - inter
-        iou = np.where(union > 0.0, inter / union, 0.0)
-        # Per-anchor argmax with the dense tie-breaks: IoU desc, face index asc.
-        cell = rr * cols + cc
-        order = np.lexsort((cand[face_idx], -iou, cell))
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = cell[order][1:] != cell[order][:-1]
-        winners = order[first]
-        pos = winners[iou[winners] >= iou_threshold]
-        if pos.size == 0:
-            continue
-        pos_faces = cand[face_idx[pos]]
-        counts += np.bincount(pos_faces, minlength=n_faces)
-        level_hit[np.unique(pos_faces), li] = True
-    return counts, level_hit
+    strides, scales = np.asarray(config.levels, dtype=np.float64).T
+    aw = scales * config.scale_ratio
+    ah = aw * config.aspect_ratio
+    a_area = aw * ah
+    rows = np.ceil(h / strides).astype(np.int64)
+    cols = np.ceil(w / strides).astype(np.int64)
+    face_area = (faces[:, 2] - faces[:, 0]) * (faces[:, 3] - faces[:, 1])
+    # Area-ratio bound: IoU <= min(A_a, A_f) / max(A_a, A_f), over (F, L).
+    bound = np.minimum(a_area, face_area[:, None]) / np.maximum(a_area, face_area[:, None])
+    fi, li = np.nonzero(bound >= iou_threshold)
+    stride, hw, hh = strides[li], aw[li] / 2.0, ah[li] / 2.0
+    col_lo = np.clip(np.ceil((faces[fi, 0] - hw) / stride - 0.5), 0, cols[li] - 1).astype(np.int64)
+    col_hi = np.clip(np.floor((faces[fi, 2] + hw) / stride - 0.5), 0, cols[li] - 1).astype(np.int64)
+    row_lo = np.clip(np.ceil((faces[fi, 1] - hh) / stride - 0.5), 0, rows[li] - 1).astype(np.int64)
+    row_hi = np.clip(np.floor((faces[fi, 3] + hh) / stride - 0.5), 0, rows[li] - 1).astype(np.int64)
+    n_cols = col_hi - col_lo + 1
+    # Expand each (face, level) window into candidate anchors; empty windows expand to none.
+    per_pair = np.maximum(n_cols, 0) * np.maximum(row_hi - row_lo + 1, 0)
+    pair = np.repeat(np.arange(fi.size), per_pair)
+    offs = np.arange(pair.size) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
+    rr = row_lo[pair] + offs // n_cols[pair]
+    cc = col_lo[pair] + offs % n_cols[pair]
+    face, level, stride, hw, hh = fi[pair], li[pair], stride[pair], hw[pair], hh[pair]
+    cx = cc.astype(np.float64) * stride + stride / 2.0
+    cy = rr.astype(np.float64) * stride + stride / 2.0
+    fb = faces[face]
+    iw = np.minimum(cx + hw, fb[:, 2]) - np.maximum(cx - hw, fb[:, 0])
+    ih = np.minimum(cy + hh, fb[:, 3]) - np.maximum(cy - hh, fb[:, 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = a_area[level] + face_area[face] - inter
+    iou = np.where(union > 0.0, inter / union, 0.0)
+    # Per-anchor argmax with the dense tie-breaks: IoU desc, face index asc.
+    # The anchor key is its index in the dense grid: levels in order, then row-major cells.
+    anchor = (np.cumsum(rows * cols) - rows * cols)[level] + rr * cols[level] + cc
+    order = np.lexsort((face, -iou, anchor))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = anchor[order][1:] != anchor[order][:-1]
+    winners = order[first]
+    pos = winners[iou[winners] >= iou_threshold]
+    level_hit = np.zeros((n_faces, len(config.levels)), dtype=bool)
+    level_hit[face[pos], level[pos]] = True
+    return np.bincount(face[pos], minlength=n_faces), level_hit
+
+
+def _census(
+    dataset: Sequence[ImageRecord],
+    configs: Sequence[AnchorConfig],
+    iou_threshold: float,
+    image_sizes: Sequence[tuple[int, int]] | None,
+    threads: int,
+) -> list[MatchCensus]:
+    """One `MatchCensus` per config, from one walk that filters each record once."""
+    if iou_threshold <= 0.0:
+        raise ValueError(f"iou_threshold must be > 0 for census counting, got {iou_threshold}")
+    # Per config: faces, matched faces, positives, then matched faces per level.
+    shape = (len(configs), 3 + (len(configs[0].levels) if configs else 0))
+
+    def work(i: int) -> np.ndarray:
+        faces = valid_face_boxes(dataset[i])
+        size = image_sizes[i] if image_sizes is not None else None
+        tally = np.zeros(shape, dtype=np.int64)
+        for row, config in zip(tally, configs):
+            counts, level_hit = _image_census(faces, config, iou_threshold, size)
+            row[:] = faces.shape[0], np.count_nonzero(counts), counts.sum(), *level_hit.sum(axis=0)
+        return tally
+
+    totals = sum(_map_images(work, len(dataset), threads), np.zeros(shape, dtype=np.int64))
+    return [MatchCensus(int(t[0]), int(t[1]), int(t[2]), t[3:]) for t in totals]
 
 
 def dataset_census(
@@ -160,29 +174,11 @@ def dataset_census(
 
     Requires a strictly positive IoU threshold (zero-overlap anchors are
     outside every candidate window). Invalid and degenerate faces are
-    excluded before matching.
+    excluded before matching. `threads` > 1 maps images on a thread pool, no
+    faster since the census is small numpy calls under the interpreter lock;
+    it stays because acceptance criterion 9 passes it.
     """
-    if iou_threshold <= 0.0:
-        raise ValueError(f"iou_threshold must be > 0 for census counting, got {iou_threshold}")
-    face_sets = [valid_face_boxes(rec) for rec in dataset]
-
-    def work(i: int):
-        size = image_sizes[i] if image_sizes is not None else None
-        return _image_census(face_sets[i], config, iou_threshold, size)
-
-    results = _map_images(work, len(dataset), threads)
-    total_faces = sum(f.shape[0] for f in face_sets)
-    matched = sum(int(np.count_nonzero(c > 0)) for c, _ in results)
-    positives = sum(int(c.sum()) for c, _ in results)
-    per_level = np.zeros(len(config.levels), dtype=np.int64)
-    for _, hits in results:
-        per_level += hits.sum(axis=0)
-    return MatchCensus(
-        total_faces=total_faces,
-        matched_faces=matched,
-        total_positives=positives,
-        matched_faces_per_level=per_level,
-    )
+    return _census(dataset, [config], iou_threshold, image_sizes, threads)[0]
 
 
 def scale_ratio_sweep(
@@ -191,33 +187,18 @@ def scale_ratio_sweep(
     ratios: Sequence[float],
     iou_threshold: float,
     image_sizes: Sequence[tuple[int, int]] | None = None,
-    threads: int = 1,
 ) -> list[ScaleCurvePoint]:
-    """First-step matching statistics per global anchor scale ratio."""
+    """First-step matching statistics per global anchor scale ratio, in one dataset walk."""
     if any(r <= 0 for r in ratios):
         raise ValueError("ratios must be positive")
-    points = []
-    checked_empty = False
-    for ratio in ratios:
-        census = dataset_census(
-            dataset,
-            base_config.with_scale_ratio(ratio),
-            iou_threshold,
-            image_sizes=image_sizes,
-            threads=threads,
-        )
-        if not checked_empty:
-            if census.total_faces == 0:
-                raise EmptyDatasetError("no valid faces in dataset after filtering")
-            checked_empty = True
-        points.append(
-            ScaleCurvePoint(
-                scale_ratio=float(ratio),
-                mean_anchors_per_face=census.mean_anchors_per_face,
-                fraction_faces_matched=census.fraction_faces_matched,
-            )
-        )
-    return points
+    configs = [base_config.with_scale_ratio(r) for r in ratios]
+    censuses = _census(dataset, configs, iou_threshold, image_sizes, threads=1)
+    if censuses and censuses[0].total_faces == 0:
+        raise EmptyDatasetError("no valid faces in dataset after filtering")
+    return [
+        ScaleCurvePoint(float(r), c.mean_anchors_per_face, c.fraction_faces_matched)
+        for r, c in zip(ratios, censuses)
+    ]
 
 
 def provenance_report(

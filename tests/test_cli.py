@@ -123,6 +123,19 @@ class TestMatchStatsCommand:
             == 2
         )
 
+    def test_runs_without_thread_pool(self, tmp_path, annotations, monkeypatch):
+        argv = ["match-stats", "--annotations", annotations, "--ratios", "0.4:1.0:0.2"]
+        assert main(["--out", str(tmp_path / "one"), "--threads", "1"] + argv) == 0
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("match-stats started a thread pool")
+
+        monkeypatch.setattr("hambox.ingest.ThreadPoolExecutor", no_pool)
+        assert main(["--out", str(tmp_path / "four"), "--threads", "4"] + argv) == 0
+        assert (tmp_path / "four" / "scale_curve.csv").read_bytes() == (
+            tmp_path / "one" / "scale_curve.csv"
+        ).read_bytes()
+
 
 class TestAssignCommand:
     def test_sms_rows_match_matcher(self, tmp_path, annotations):
@@ -489,11 +502,30 @@ def test_budgets_at_int64_max_run(tmp_path, annotations):
     assert main(base + ["--strategy", "hambox", "--K", str(INT64_MAX)]) == 0
 
 
-@pytest.mark.parametrize("spec", ["1:inf:1", "-inf:1:0.1", "0.5:1:nan"])
+# Specs that would never finish: non-finite bounds, more ratios than the cap,
+# and a step too small to move `start`, which would repeat it forever.
+ENDLESS_RATIO_SPECS = {
+    "1:inf:1": "ratio spec must be finite numbers",
+    "-inf:1:0.1": "ratio spec must be finite numbers",
+    "0.5:1:nan": "ratio spec must be finite numbers",
+    "0.1:1e9:0.1": "ratio spec '0.1:1e9:0.1' yields more than 10000 ratios",
+    "1:2:1e-20": "ratio spec '1:2:1e-20' yields more than 10000 ratios",
+}
+
+
+def test_ratio_cap_is_inclusive():
+    from hambox.cli import MAX_RATIOS, _parse_ratio_spec
+
+    assert len(_parse_ratio_spec(f"1:{MAX_RATIOS}:1")) == MAX_RATIOS
+    with pytest.raises(ValueError, match="yields more than"):
+        _parse_ratio_spec(f"1:{MAX_RATIOS + 1}:1")
+
+
+@pytest.mark.parametrize("spec", list(ENDLESS_RATIO_SPECS))
 def test_non_finite_ratio_spec_exit_2(tmp_path, annotations, capsys, spec):
     argv = ["--out", str(tmp_path / "run"), "match-stats", "--annotations", annotations, f"--ratios={spec}"]
     assert main(argv) == 2
-    assert "ratio spec must be finite numbers" in capsys.readouterr().err
+    assert ENDLESS_RATIO_SPECS[spec] in capsys.readouterr().err
 
 
 ANNOTATED_COMMANDS = {

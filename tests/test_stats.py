@@ -1,5 +1,9 @@
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hambox.anchors import AnchorConfig, AnchorGrid, cover_image_size, generate_anchors
 from hambox.assignment import MatchParams, match_first_step
@@ -8,6 +12,7 @@ from hambox.ingest import FaceAnnotation, ImageRecord
 from hambox.mining import compute_quality
 from hambox.stats import (
     EmptyDatasetError,
+    _image_census,
     combine_reports,
     dataset_census,
     provenance_csv,
@@ -111,7 +116,81 @@ class TestDatasetCensus:
         np.testing.assert_array_equal(a.matched_faces_per_level, b.matched_faces_per_level)
 
 
+@st.composite
+def census_case(draw):
+    """A random pyramid, non-square faces, an image extent that may clip the
+    anchor windows, and a threshold in (0, 1]."""
+    n_levels = draw(st.integers(1, 6))
+    stride = draw(st.sampled_from([2.0, 3.0, 4.0, 5.0]))
+    levels = []
+    for _ in range(n_levels):
+        levels.append((stride, draw(st.floats(4.0, 96.0))))
+        stride *= draw(st.sampled_from([1.5, 2.0, 3.0]))
+    config = AnchorConfig(
+        levels=tuple(levels),
+        scale_ratio=draw(st.floats(0.3, 1.5)),
+        aspect_ratio=draw(st.floats(0.5, 2.0).filter(lambda a: a != 1.0)),
+    )
+    coord = st.floats(0.0, 150.0)
+    faces = np.array(
+        [
+            (x, y, x + draw(st.floats(1.0, 80.0)), y + draw(st.floats(1.0, 80.0)))
+            for x, y in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
+        ]
+    )
+    cover_w, cover_h = cover_image_size(faces, config)
+    size = (draw(st.integers(1, cover_w)), draw(st.integers(1, cover_h)))
+    threshold = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return faces, config, size, threshold
+
+
+@settings(max_examples=150, deadline=None)
+@given(census_case())
+def test_image_census_equals_dense_first_step(case):
+    faces, config, size, threshold = case
+    counts, level_hit = _image_census(faces, config, threshold, size)
+    grid = generate_anchors(config, *size)
+    a = match_first_step(grid, faces, MatchParams(iou_threshold=threshold))
+    np.testing.assert_array_equal(counts, a.matched_count)
+    dense_hit = np.zeros_like(level_hit)
+    pos = a.face_of >= 0
+    dense_hit[a.face_of[pos], grid.level_of[pos]] = True
+    np.testing.assert_array_equal(level_hit, dense_hit)
+
+
+class CountingRecords(Sequence):
+    """A dataset that counts how often each record is read."""
+
+    def __init__(self, records):
+        self.records = records
+        self.reads = [0] * len(records)
+
+    def __len__(self):
+        return len(self.records)
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return self.records[i]
+
+
 class TestScaleRatioSweep:
+    @pytest.mark.parametrize("n_ratios", [1, 16])
+    def test_walks_dataset_once(self, n_ratios):
+        rng = np.random.default_rng(n_ratios)
+        config = AnchorConfig(levels=((4, 16), (8, 32), (16, 64)))
+        boxes = rng.uniform([0, 0, 4], [100, 100, 50], size=(5, 3, 3))
+        records = [record([(x, y, x + s, y + s * 1.2) for x, y, s in image]) for image in boxes]
+        ratios = np.linspace(0.4, 1.6, n_ratios).tolist()
+        dataset = CountingRecords(records)
+        points = scale_ratio_sweep(dataset, config, ratios, 0.35)
+        assert dataset.reads == [1] * len(records)
+        for ratio, p in zip(ratios, points):
+            census = dataset_census(records, config.with_scale_ratio(ratio), 0.35)
+            assert p.scale_ratio == ratio
+            assert p.mean_anchors_per_face == census.mean_anchors_per_face
+            assert p.fraction_faces_matched == census.fraction_faces_matched
+
+
     def test_perfectly_aligned_face(self):
         # One face exactly covering one anchor cell: every statistic is 1.
         config = AnchorConfig(levels=((16, 16),), scale_ratio=1.0)
