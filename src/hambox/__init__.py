@@ -7,7 +7,7 @@ synthetic regression head for end-to-end simulation. See the CLI
 (``hambox --help``) for the CSV-emitting commands.
 """
 
-from .anchors import AnchorConfig, AnchorGrid, default_hambox_config, generate_anchors
+from .anchors import AnchorConfig, AnchorGrid, default_hambox_config, generate_anchors, grid_overlaps
 from .assignment import (
     Assignment,
     MatchParams,
@@ -96,6 +96,7 @@ __all__ = [
     "encode",
     "filter_valid",
     "generate_anchors",
+    "grid_overlaps",
     "ignore_mask",
     "iou",
     "linear_ramp",

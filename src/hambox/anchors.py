@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
+
+from .geometry import Box, Overlaps, _scored, as_box_array, overlaps
 
 DEFAULT_STRIDES = (4, 8, 16, 32, 64, 128)
 DEFAULT_BASE_SCALES = (16, 32, 64, 128, 256, 512)
@@ -45,16 +49,34 @@ class AnchorConfig:
         side = self.levels[level][1] * self.scale_ratio
         return side, side * self.aspect_ratio
 
+    @cached_property
+    def _sizes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-level strides, anchor widths and anchor heights, as `anchor_size` computes them."""
+        strides, scales = np.asarray(self.levels, dtype=np.float64).T
+        aw = scales * self.scale_ratio
+        return strides, aw, aw * self.aspect_ratio
+
+    @cached_property
+    def _cover_margins(self) -> tuple[float, float]:
+        """How far right of and below a face an anchor that touches it can reach."""
+        strides, aw, ah = self._sizes
+        return float((strides + aw / 2.0).max()), float((strides + ah / 2.0).max())
+
 
 @dataclass(frozen=True)
 class AnchorGrid:
-    """All anchors tiled over an image, with per-anchor level and cell provenance."""
+    """All anchors tiled over an image, with per-anchor level and cell provenance.
+
+    `lattice` marks a grid laid out by `generate_anchors`, whose anchors
+    `grid_overlaps` can find from the config and image size alone.
+    """
 
     boxes: np.ndarray = field(repr=False)  # (N, 4) float64
     level_of: np.ndarray = field(repr=False)  # (N,) int32
     cell_of: np.ndarray = field(repr=False)  # (N, 2) int32, (row, col)
     config: AnchorConfig
     image_size: tuple[int, int]  # (width, height)
+    lattice: bool = False
 
     def __len__(self) -> int:
         return self.boxes.shape[0]
@@ -63,6 +85,12 @@ class AnchorGrid:
 def grid_shape(stride: float, image_w: float, image_h: float) -> tuple[int, int]:
     """(rows, cols) of the anchor lattice for one stride."""
     return math.ceil(image_h / stride), math.ceil(image_w / stride)
+
+
+def _lattice(config: AnchorConfig, image_w: float, image_h: float) -> tuple[np.ndarray, ...]:
+    """Per-level strides, anchor widths and heights, lattice rows and cols, and first anchor index."""
+    rows, cols = np.array([grid_shape(s, image_w, image_h) for s, _ in config.levels], dtype=np.int64).T
+    return *config._sizes, rows, cols, np.cumsum(rows * cols) - rows * cols
 
 
 def generate_anchors(config: AnchorConfig, image_w: float, image_h: float) -> AnchorGrid:
@@ -74,30 +102,63 @@ def generate_anchors(config: AnchorConfig, image_w: float, image_h: float) -> An
     """
     if image_w <= 0 or image_h <= 0:
         raise ValueError(f"image size must be positive, got {image_w}x{image_h}")
-    boxes = []
-    levels = []
-    cells = []
-    for li, (stride, _) in enumerate(config.levels):
-        rows, cols = grid_shape(stride, image_w, image_h)
-        w, h = config.anchor_size(li)
-        cy, cx = np.meshgrid(
-            np.arange(rows, dtype=np.float64) * stride + stride / 2.0,
-            np.arange(cols, dtype=np.float64) * stride + stride / 2.0,
-            indexing="ij",
-        )
-        cx = cx.ravel()
-        cy = cy.ravel()
-        boxes.append(np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1))
-        levels.append(np.full(rows * cols, li, dtype=np.int32))
-        rr, cc = np.meshgrid(np.arange(rows, dtype=np.int32), np.arange(cols, dtype=np.int32), indexing="ij")
-        cells.append(np.stack([rr.ravel(), cc.ravel()], axis=1))
-    return AnchorGrid(
-        boxes=np.concatenate(boxes, axis=0),
-        level_of=np.concatenate(levels, axis=0),
-        cell_of=np.concatenate(cells, axis=0),
-        config=config,
-        image_size=(image_w, image_h),
-    )
+    strides, aw, ah, rows, cols, start = _lattice(config, image_w, image_h)
+    n = int((rows * cols).sum())
+    boxes = np.empty((n, 4))
+    cells = np.empty((n, 2), dtype=np.int32)
+    for s, w, h, r, c, i in zip(strides, aw, ah, rows, cols, start):
+        cx = np.arange(c, dtype=np.float64) * s + s / 2.0
+        cy = (np.arange(r, dtype=np.float64) * s + s / 2.0)[:, None]
+        box, cell = boxes[i : i + r * c].reshape(r, c, 4), cells[i : i + r * c].reshape(r, c, 2)
+        box[..., 0], box[..., 1], box[..., 2], box[..., 3] = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+        cell[..., 0], cell[..., 1] = np.arange(r)[:, None], np.arange(c)
+    level_of = np.repeat(np.arange(strides.size, dtype=np.int32), rows * cols)
+    return AnchorGrid(boxes, level_of, cells, config, (image_w, image_h), lattice=True)
+
+
+def _expand_windows(face, level, row_lo, row_hi, col_lo, col_hi, cols, start):
+    """Every lattice cell in each (face, level) window, in window order, then row-major.
+
+    Bounds are inclusive, and a window with hi < lo is empty. Returns the
+    face, level, row, col and dense grid index of each cell.
+    """
+    n_cols = col_hi - col_lo + 1
+    per = np.maximum(n_cols, 0) * np.maximum(row_hi - row_lo + 1, 0)
+    win = np.repeat(np.arange(per.size), per)
+    at = np.arange(win.size) - np.repeat(np.cumsum(per) - per, per)
+    level = level[win]
+    row = row_lo[win] + at // n_cols[win]
+    col = col_lo[win] + at % n_cols[win]
+    return face[win], level, row, col, start[level] + row * cols[level] + col
+
+
+def grid_overlaps(grid: AnchorGrid, faces: Sequence[Box] | np.ndarray) -> Overlaps:
+    """``overlaps(grid.boxes, faces)``, reading only anchors a face can reach.
+
+    On a lattice grid each valid face spans, on each level, a window of
+    cells whose anchors can meet it, widened by one cell on every side so
+    that rounding in the bound never drops an anchor. Only those anchors
+    are scored, so work is O(faces x levels + candidates) rather than
+    O(anchors). Rows, order and IoUs are those of `overlaps`. Other grids
+    go through `overlaps`.
+    """
+    faces = as_box_array(faces)
+    if not grid.lattice:
+        return overlaps(grid.boxes, faces)
+    strides, aw, ah, rows, cols, start = _lattice(grid.config, *grid.image_size)
+    fw, fh = faces[:, 2] - faces[:, 0], faces[:, 3] - faces[:, 1]
+    live = np.flatnonzero((fw > 0.0) & (fh > 0.0) & np.isfinite(fw * fh))
+    face, level = np.repeat(live, strides.size), np.tile(np.arange(strides.size), live.size)
+    s, f = strides[level], faces[face]
+
+    def window(lo, hi, half, n):
+        lo = np.clip(np.ceil((lo - half) / s - 0.5) - 1.0, 0.0, n)
+        return lo.astype(np.int64), np.clip(np.floor((hi + half) / s - 0.5) + 1.0, -1.0, n - 1.0).astype(np.int64)
+
+    col_lo, col_hi = window(f[:, 0], f[:, 2], aw[level] / 2.0, cols[level])
+    row_lo, row_hi = window(f[:, 1], f[:, 3], ah[level] / 2.0, rows[level])
+    face, _, _, _, anchor = _expand_windows(face, level, row_lo, row_hi, col_lo, col_hi, cols, start)
+    return _scored(grid.boxes, faces, anchor, face)
 
 
 def cover_image_size(face_boxes: np.ndarray, config: AnchorConfig) -> tuple[int, int]:
@@ -108,13 +169,8 @@ def cover_image_size(face_boxes: np.ndarray, config: AnchorConfig) -> tuple[int,
     match results equal those on any larger grid.
     """
     face_boxes = np.asarray(face_boxes, dtype=np.float64)
-    margin = max(
-        stride + config.anchor_size(li)[0] / 2.0 for li, (stride, _) in enumerate(config.levels)
-    )
-    v_margin = max(
-        stride + config.anchor_size(li)[1] / 2.0 for li, (stride, _) in enumerate(config.levels)
-    )
-    max_stride = max(stride for stride, _ in config.levels)
+    margin, v_margin = config._cover_margins
+    max_stride = config.levels[-1][0]
     if face_boxes.size == 0:
         return math.ceil(max_stride), math.ceil(max_stride)
     w = math.ceil(max(float(face_boxes[:, 2].max()) + margin, max_stride))

@@ -11,8 +11,8 @@ Three strategies are provided:
 
 Both second steps, and the online compensation in ``mining``, are one claim
 rule (`claim_best`) with a different pair list, budget and floor. Every step
-reads the sparse ``geometry.overlaps`` pair list, never an anchors x faces
-matrix. All tie-breaks are by ascending index so results are deterministic.
+reads a sparse pair list (``anchors.grid_overlaps`` for the anchors), never an
+anchors x faces matrix. All tie-breaks are by ascending index so results are deterministic.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchors import AnchorGrid
-from .geometry import Box, Overlaps, as_box_array, encode_boxes, overlaps
+from .anchors import AnchorGrid, grid_overlaps
+from .geometry import Box, Overlaps, as_box_array, encode_boxes
 
 # Per-anchor provenance codes.
 SOURCE_NONE = 0
@@ -107,7 +107,7 @@ def first_step_from_overlaps(
 ) -> Assignment:
     """First matching step on the anchor-by-face pair list.
 
-    `faces` is the (F, 4) box array and `pairs` is ``overlaps(grid.boxes,
+    `faces` is the (F, 4) box array and `pairs` is ``grid_overlaps(grid,
     faces)``; callers that need the pairs again compute them once and share
     them. An anchor in no pair has IoU 0, below every allowed threshold.
     """
@@ -130,7 +130,7 @@ def match_first_step(
 ) -> Assignment:
     """Assign each anchor to its maximum-IoU face when that IoU >= the threshold."""
     faces = as_box_array(faces)
-    return first_step_from_overlaps(grid, faces, overlaps(grid.boxes, faces), params)
+    return first_step_from_overlaps(grid, faces, grid_overlaps(grid, faces), params)
 
 
 def match_two_step(
@@ -143,7 +143,7 @@ def match_two_step(
     unavailable to later faces.
     """
     faces = as_box_array(faces)
-    pairs = overlaps(grid.boxes, faces)
+    pairs = grid_overlaps(grid, faces)
     assignment = first_step_from_overlaps(grid, faces, pairs, params)
     budget = (assignment.matched_count == 0).astype(np.int64)
     claim_best(assignment, grid, faces, pairs, budget, 0.0, SOURCE_STEP2)
@@ -160,7 +160,7 @@ def match_nams(
     ascending-index tie-break.
     """
     faces = as_box_array(faces)
-    pairs = overlaps(grid.boxes, faces)
+    pairs = grid_overlaps(grid, faces)
     assignment = first_step_from_overlaps(grid, faces, pairs, params)
     if isinstance(params.nams_top_n_mode, str):
         counts = assignment.matched_count[assignment.matched_count > 0]

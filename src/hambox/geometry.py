@@ -190,17 +190,27 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
     at = np.arange(box.size) - np.repeat(np.cumsum(n_hit) - n_hit, n_hit)
     face = f_ids[np.repeat(f_start[key[hit]], n_hit) + at]
 
-    # pairwise_iou's arithmetic on the candidates that intersect.
-    iw = np.minimum(boxes[box, 2], faces[face, 2]) - np.maximum(boxes[box, 0], faces[face, 0])
-    ih = np.minimum(boxes[box, 3], faces[face, 3]) - np.maximum(boxes[box, 1], faces[face, 1])
-    meet = (iw > 0.0) & (ih > 0.0)
-    box, face, iw, ih = box[meet], face[meet], iw[meet], ih[meet]
-    inter = iw * ih
-    iou = inter / (area_b[box] + area_f[face] - inter)
+    return _scored(boxes, faces, box, face)
+
+
+def _scored(boxes: np.ndarray, faces: np.ndarray, box: np.ndarray, face: np.ndarray) -> Overlaps:
+    """The candidate pairs with IoU > 0, by `pairwise_iou`'s arithmetic, in `Overlaps` order.
+
+    Each (box, face) candidate appears once, and the candidates of a box
+    come in ascending face order, so ties on IoU keep the lower face first.
+    """
+    b, f = boxes.take(box, axis=0), faces.take(face, axis=0)
+    iw = np.minimum(b[:, 2], f[:, 2]) - np.maximum(b[:, 0], f[:, 0])
+    ih = np.minimum(b[:, 3], f[:, 3]) - np.maximum(b[:, 1], f[:, 1])
+    meet = np.flatnonzero((iw > 0.0) & (ih > 0.0))
+    box, face, b, f = box[meet], face[meet], b.take(meet, axis=0), f.take(meet, axis=0)
+    inter = iw[meet] * ih[meet]
+    area_b = np.maximum(0.0, b[:, 2] - b[:, 0]) * np.maximum(0.0, b[:, 3] - b[:, 1])
+    area_f = np.maximum(0.0, f[:, 2] - f[:, 0]) * np.maximum(0.0, f[:, 3] - f[:, 1])
+    iou = inter / (area_b + area_f - inter)
     keep = iou > 0.0
     box, face, iou = box[keep], face[keep], iou[keep]
-    # Candidates come sorted by box, then face. Ranking the IoUs first lets one
-    # stable sort of a nearly sorted key finish the order.
+    # Ranking the IoUs first lets one stable sort finish the order.
     desc = np.unique(-iou, return_inverse=True)[1]
     order = np.argsort(box * (desc.size + 1) + desc, kind="stable")
     return Overlaps(box[order], face[order], iou[order])

@@ -26,6 +26,7 @@ from .anchors import (
     cover_image_size,
     default_hambox_config,
     generate_anchors,
+    grid_overlaps,
 )
 from .assignment import SOURCE_HAMBOX, Assignment, MatchParams, first_step_from_overlaps
 from .geometry import Box, Overlaps, as_box_array, elementwise_iou, encode_boxes, overlaps
@@ -114,7 +115,7 @@ def simulate_regression(
     height (y coordinates). `stream` separates images sharing a seed.
     """
     faces = as_box_array(faces)
-    ref, overlap = _pull_targets(grid.boxes, faces, overlaps(grid.boxes, faces))
+    ref, overlap = _pull_targets(grid.boxes, faces, grid_overlaps(grid, faces))
     return _regress(grid.boxes, ref, overlap, model, iteration, stream)
 
 
@@ -220,12 +221,19 @@ def mine_image(
     pairs): no anchors x faces matrix is built.
     """
     faces = as_box_array(faces)
-    pairs = overlaps(grid.boxes, faces)
+    pairs = grid_overlaps(grid, faces)
     first = first_step_from_overlaps(grid, faces, pairs, match)
     ref, overlap = _pull_targets(grid.boxes, faces, pairs)
+    # Without noise an anchor that overlaps no face regresses onto itself
+    # and still overlaps none, so only the pulled boxes are searched.
+    moved = None if model.noise_sigma > 0.0 else np.flatnonzero(overlap)
     for t in range(n_iters):
         regressed = _regress(grid.boxes, ref, overlap, model, t, stream)
-        pairs = overlaps(regressed, faces)
+        if moved is None:
+            pairs = overlaps(regressed, faces)
+        else:
+            pairs = overlaps(regressed[moved], faces)
+            pairs = Overlaps(moved[pairs.box], pairs.face, pairs.iou)
         assigned = _compensate(first, grid, faces, pairs, comp)
         quality = _quality(pairs, len(grid))
         yield MinedIteration(t, first, assigned, regressed, quality, ignore_mask(assigned, quality))

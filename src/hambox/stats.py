@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchors import AnchorConfig, AnchorGrid, cover_image_size
+from .anchors import AnchorConfig, AnchorGrid, _expand_windows, _lattice, cover_image_size
 from .assignment import BACKGROUND, SOURCE_STEP1, Assignment
 from .geometry import Box, as_box_array, elementwise_iou, nms
 from .ingest import ImageRecord, _map_images, filter_valid
@@ -93,12 +93,8 @@ def _image_census(
     """Per-face positive counts (F,) and per-face-per-level matched flags (F, L)."""
     n_faces = faces.shape[0]
     w, h = image_size if image_size is not None else cover_image_size(faces, config)
-    strides, scales = np.asarray(config.levels, dtype=np.float64).T
-    aw = scales * config.scale_ratio
-    ah = aw * config.aspect_ratio
+    strides, aw, ah, rows, cols, start = _lattice(config, w, h)
     a_area = aw * ah
-    rows = np.ceil(h / strides).astype(np.int64)
-    cols = np.ceil(w / strides).astype(np.int64)
     face_area = (faces[:, 2] - faces[:, 0]) * (faces[:, 3] - faces[:, 1])
     # Area-ratio bound: IoU <= min(A_a, A_f) / max(A_a, A_f), over (F, L).
     bound = np.minimum(a_area, face_area[:, None]) / np.maximum(a_area, face_area[:, None])
@@ -108,14 +104,8 @@ def _image_census(
     col_hi = np.clip(np.floor((faces[fi, 2] + hw) / stride - 0.5), 0, cols[li] - 1).astype(np.int64)
     row_lo = np.clip(np.ceil((faces[fi, 1] - hh) / stride - 0.5), 0, rows[li] - 1).astype(np.int64)
     row_hi = np.clip(np.floor((faces[fi, 3] + hh) / stride - 0.5), 0, rows[li] - 1).astype(np.int64)
-    n_cols = col_hi - col_lo + 1
-    # Expand each (face, level) window into candidate anchors; empty windows expand to none.
-    per_pair = np.maximum(n_cols, 0) * np.maximum(row_hi - row_lo + 1, 0)
-    pair = np.repeat(np.arange(fi.size), per_pair)
-    offs = np.arange(pair.size) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
-    rr = row_lo[pair] + offs // n_cols[pair]
-    cc = col_lo[pair] + offs % n_cols[pair]
-    face, level, stride, hw, hh = fi[pair], li[pair], stride[pair], hw[pair], hh[pair]
+    face, level, rr, cc, anchor = _expand_windows(fi, li, row_lo, row_hi, col_lo, col_hi, cols, start)
+    stride, hw, hh = strides[level], aw[level] / 2.0, ah[level] / 2.0
     cx = cc.astype(np.float64) * stride + stride / 2.0
     cy = rr.astype(np.float64) * stride + stride / 2.0
     fb = faces[face]
@@ -125,8 +115,7 @@ def _image_census(
     union = a_area[level] + face_area[face] - inter
     iou = np.where(union > 0.0, inter / union, 0.0)
     # Per-anchor argmax with the dense tie-breaks: IoU desc, face index asc.
-    # The anchor key is its index in the dense grid: levels in order, then row-major cells.
-    anchor = (np.cumsum(rows * cols) - rows * cols)[level] + rr * cols[level] + cc
+    # The anchor key is its index in the dense grid, so it includes the level.
     order = np.lexsort((face, -iou, anchor))
     first = np.ones(order.size, dtype=bool)
     first[1:] = anchor[order][1:] != anchor[order][:-1]

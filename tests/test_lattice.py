@@ -1,0 +1,208 @@
+"""The lattice kernel `grid_overlaps` and the grid it reads, against their references.
+
+`grid_overlaps` must return exactly `overlaps(grid.boxes, faces)` on every
+grid that `generate_anchors` lays out, and fall back to it on grids built
+by hand. `generate_anchors` must keep the boxes of the meshgrid layout it
+was first written with, which is kept here as the reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hambox import simulator
+from hambox.anchors import (
+    AnchorConfig,
+    AnchorGrid,
+    cover_image_size,
+    default_hambox_config,
+    generate_anchors,
+    grid_overlaps,
+)
+from hambox.cli import main
+from hambox.geometry import overlaps
+from hambox.ingest import load_wider_annotations
+
+
+def meshgrid_anchors(config, image_w, image_h):
+    """generate_anchors as first written: one meshgrid, stack and concatenate per level."""
+    boxes, levels, cells = [], [], []
+    for li, (stride, _) in enumerate(config.levels):
+        rows, cols = math.ceil(image_h / stride), math.ceil(image_w / stride)
+        w, h = config.anchor_size(li)
+        cy, cx = np.meshgrid(
+            np.arange(rows, dtype=np.float64) * stride + stride / 2.0,
+            np.arange(cols, dtype=np.float64) * stride + stride / 2.0,
+            indexing="ij",
+        )
+        cx, cy = cx.ravel(), cy.ravel()
+        boxes.append(np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1))
+        levels.append(np.full(rows * cols, li, dtype=np.int32))
+        rr, cc = np.meshgrid(np.arange(rows, dtype=np.int32), np.arange(cols, dtype=np.int32), indexing="ij")
+        cells.append(np.stack([rr.ravel(), cc.ravel()], axis=1))
+    return np.concatenate(boxes), np.concatenate(levels), np.concatenate(cells)
+
+
+def loop_cover_size(face_boxes, config):
+    """cover_image_size as first written: two generator passes over the levels."""
+    margin = max(stride + config.anchor_size(li)[0] / 2.0 for li, (stride, _) in enumerate(config.levels))
+    v_margin = max(stride + config.anchor_size(li)[1] / 2.0 for li, (stride, _) in enumerate(config.levels))
+    max_stride = max(stride for stride, _ in config.levels)
+    if face_boxes.size == 0:
+        return math.ceil(max_stride), math.ceil(max_stride)
+    w = math.ceil(max(float(face_boxes[:, 2].max()) + margin, max_stride))
+    h = math.ceil(max(float(face_boxes[:, 3].max()) + v_margin, max_stride))
+    return w, h
+
+
+def assert_same_pairs(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)  # bit-equal IoUs, same rows, same order
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.integers(1, 6))
+    strides = np.cumsum(draw(st.lists(st.floats(1.0, 24.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        strides = np.ceil(strides)  # integer strides, as the CLI's defaults
+    strides = sorted(set(strides.tolist()))
+    scales = draw(st.lists(st.floats(0.5, 120.0), min_size=len(strides), max_size=len(strides)))
+    return AnchorConfig(
+        levels=tuple(zip(strides, scales)),
+        scale_ratio=draw(st.floats(0.1, 3.0)),
+        aspect_ratio=draw(st.sampled_from([1.0, 0.5, 1.3, draw(st.floats(0.2, 5.0))])),
+    )
+
+
+@st.composite
+def lattice_cases(draw):
+    config = draw(configs())
+    size = st.one_of(st.integers(1, 96), st.floats(0.5, 96.0))
+    image_w, image_h = draw(size), draw(size)
+    grid = generate_anchors(config, image_w, image_h)
+    coord = st.one_of(st.integers(-40, 140).map(float), st.floats(-40.0, 140.0))
+    # An anchor's coordinates, so faces land exactly on anchor edges and corners.
+    edge = st.integers(0, len(grid) - 1).flatmap(lambda i: st.sampled_from(grid.boxes[i].tolist()))
+    odd = st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, 0.0])
+    faces = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["plain", "edges", "anchor", "copy", "zero", "odd", "huge"]))
+        if kind == "anchor":  # an anchor itself: IoU 1 and ties with its neighbours' faces
+            face = grid.boxes[draw(st.integers(0, len(grid) - 1))].tolist()
+        elif kind == "copy" and faces:  # a duplicate face: equal IoUs, lower face first
+            face = list(faces[draw(st.integers(0, len(faces) - 1))])
+        else:
+            x0, y0 = draw(st.one_of(coord, edge)), draw(st.one_of(coord, edge))
+            x1 = draw(st.one_of(edge, st.floats(0.0, 80.0).map(lambda w: x0 + w)))
+            y1 = draw(st.one_of(edge, st.floats(0.0, 80.0).map(lambda h: y0 + h)))
+            face = [x0, y0, x1, y1]
+            if kind == "zero":
+                face[2] = x0
+            elif kind == "odd":
+                face[draw(st.integers(0, 3))] = draw(odd)
+            elif kind == "huge":  # 1e300 long and 1e-299 thin: a finite area
+                t = draw(st.sampled_from([0.0, 5e-300, -5e-300]))
+                face = [-1e300, t, 1e300, t + 1e-299] if draw(st.booleans()) else [t, -1e300, t + 1e-299, 1e300]
+        faces.append(face)
+    return grid, np.array(faces, dtype=np.float64).reshape(-1, 4)
+
+
+class TestGridOverlaps:
+    @given(lattice_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_generic_overlaps(self, case):
+        grid, faces = case
+        assert grid.lattice
+        assert_same_pairs(grid_overlaps(grid, faces), overlaps(grid.boxes, faces))
+
+    def test_default_grid_crowd(self):
+        rng = np.random.default_rng(3)
+        xy = rng.uniform(-30.0, 650.0, size=(300, 2))
+        side = rng.uniform(2.0, 400.0, size=(300, 1))
+        faces = np.hstack([xy, xy + side * rng.uniform(0.5, 1.5, size=(300, 2))])
+        grid = generate_anchors(default_hambox_config(), 640, 480)
+        got = grid_overlaps(grid, faces)
+        assert got.box.size > 0
+        assert_same_pairs(got, overlaps(grid.boxes, faces))
+
+    def test_hand_built_grid_takes_generic_kernel(self):
+        # Boxes that follow no lattice: the config and image size say nothing about them.
+        boxes = np.array([[500.0, 500.0, 520.0, 530.0], [0.0, 0.0, 10.0, 10.0], [5.0, 5.0, 300.0, 9.0]])
+        grid = AnchorGrid(
+            boxes=boxes,
+            level_of=np.zeros(3, dtype=np.int32),
+            cell_of=np.zeros((3, 2), dtype=np.int32),
+            config=AnchorConfig(levels=((8, 16),)),
+            image_size=(16, 16),
+        )
+        assert not grid.lattice
+        faces = np.array([[505.0, 505.0, 515.0, 515.0], [2.0, 2.0, 8.0, 8.0]])
+        got = grid_overlaps(grid, faces)
+        assert_same_pairs(got, overlaps(boxes, faces))
+        assert got.box.tolist() == [0, 1, 2]
+
+
+def assert_meshgrid_layout(config, image_w, image_h):
+    grid = generate_anchors(config, image_w, image_h)
+    for got, want in zip((grid.boxes, grid.level_of, grid.cell_of), meshgrid_anchors(config, image_w, image_h)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert grid.image_size == (image_w, image_h)
+
+
+image_side = st.one_of(st.integers(1, 200), st.floats(0.5, 200.0))
+
+
+class TestGenerateAnchors:
+    @given(configs(), image_side, image_side)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_meshgrid_reference(self, config, image_w, image_h):
+        assert_meshgrid_layout(config, image_w, image_h)
+
+    def test_default_grid_at_wider_size(self):
+        assert_meshgrid_layout(default_hambox_config(), 1318, 1062)
+
+    @given(configs(), st.lists(st.floats(-50.0, 2000.0), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_cover_size_equals_level_loop(self, config, coords):
+        faces = np.array(coords[: len(coords) // 4 * 4], dtype=np.float64).reshape(-1, 4)
+        assert cover_image_size(faces, config) == loop_cover_size(faces, config)
+
+
+def face_line(k):
+    return f"{7 + 37 * k % 300} {11 + 53 * k % 200} {4 + k % 17} {5 + k % 13} 0 0 0 0 0 0\n"
+
+
+CROWD = "".join(f"crowd/{i}.jpg\n{n}\n" + "".join(map(face_line, range(n))) for i, n in enumerate((40, 3)))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_hambox_assign_searches_only_pulled_boxes(tmp_path, monkeypatch, noise):
+    """Without noise, the regressed search reads only anchors in the grid pair list."""
+    gt = tmp_path / "gt.txt"
+    gt.write_text(CROWD)
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[simulator]\nnoise_sigma = {noise}\n")
+    seen = []
+
+    def spy(boxes, faces):
+        seen.append(len(boxes))
+        return overlaps(boxes, faces)
+
+    monkeypatch.setattr(simulator, "overlaps", spy)
+    argv = ["--config", str(ini), "--out", str(tmp_path / "out"), "assign", "--annotations", str(gt)]
+    assert main(argv + ["--strategy", "hambox"]) == 0
+    config = default_hambox_config()
+    pulled, anchors = [], []
+    for rec in load_wider_annotations(str(gt)):
+        faces = rec.face_boxes()
+        grid = generate_anchors(config, *cover_image_size(faces, config))
+        pulled.append(np.unique(grid_overlaps(grid, faces).box).size)
+        anchors.append(len(grid))
+    assert seen == (pulled if noise == 0.0 else anchors)
+    assert all(p < a for p, a in zip(pulled, anchors))
