@@ -81,6 +81,11 @@ class AnchorGrid:
     def __len__(self) -> int:
         return self.boxes.shape[0]
 
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, ...]:
+        """`_lattice` of this grid's config and image size, computed once."""
+        return _lattice(self.config, *self.image_size)
+
 
 def grid_shape(stride: float, image_w: float, image_h: float) -> tuple[int, int]:
     """(rows, cols) of the anchor lattice for one stride."""
@@ -132,20 +137,26 @@ def _expand_windows(face, level, row_lo, row_hi, col_lo, col_hi, cols, start):
     return face[win], level, row, col, start[level] + row * cols[level] + col
 
 
-def grid_overlaps(grid: AnchorGrid, faces: Sequence[Box] | np.ndarray) -> Overlaps:
-    """``overlaps(grid.boxes, faces)``, reading only anchors a face can reach.
+def _window_candidates(
+    grid: AnchorGrid, faces: np.ndarray, reach: np.ndarray | None = None, limit: int | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(face, anchor) for every anchor of a lattice grid that can meet a valid face.
 
-    On a lattice grid each valid face spans, on each level, a window of
-    cells whose anchors can meet it, widened by one cell on every side so
-    that rounding in the bound never drops an anchor. Only those anchors
-    are scored, so work is O(faces x levels + candidates) rather than
-    O(anchors). Rows, order and IoUs are those of `overlaps`. Other grids
-    go through `overlaps`.
+    Each valid face spans, on each level, a window of cells whose anchors
+    can meet it. `reach`, an (L, 2) array, lets every x coordinate of a
+    level's anchors move by up to ``reach[level, 0]`` and every y coordinate
+    by up to ``reach[level, 1]``; the window then holds every anchor whose
+    moved box can meet the face. Windows are widened by one cell on every
+    side so that rounding in the bound never drops an anchor. Candidates
+    come per face in index order, then row-major per level, so the faces of
+    one anchor come in ascending order. Work is O(faces x levels +
+    candidates). With `limit`, windows that hold more candidates than that
+    are not expanded, and the result is None.
     """
-    faces = as_box_array(faces)
-    if not grid.lattice:
-        return overlaps(grid.boxes, faces)
-    strides, aw, ah, rows, cols, start = _lattice(grid.config, *grid.image_size)
+    strides, aw, ah, rows, cols, start = grid._layout
+    half_w, half_h = aw / 2.0, ah / 2.0
+    if reach is not None:
+        half_w, half_h = half_w + reach[:, 0], half_h + reach[:, 1]
     fw, fh = faces[:, 2] - faces[:, 0], faces[:, 3] - faces[:, 1]
     live = np.flatnonzero((fw > 0.0) & (fh > 0.0) & np.isfinite(fw * fh))
     face, level = np.repeat(live, strides.size), np.tile(np.arange(strides.size), live.size)
@@ -155,9 +166,26 @@ def grid_overlaps(grid: AnchorGrid, faces: Sequence[Box] | np.ndarray) -> Overla
         lo = np.clip(np.ceil((lo - half) / s - 0.5) - 1.0, 0.0, n)
         return lo.astype(np.int64), np.clip(np.floor((hi + half) / s - 0.5) + 1.0, -1.0, n - 1.0).astype(np.int64)
 
-    col_lo, col_hi = window(f[:, 0], f[:, 2], aw[level] / 2.0, cols[level])
-    row_lo, row_hi = window(f[:, 1], f[:, 3], ah[level] / 2.0, rows[level])
+    col_lo, col_hi = window(f[:, 0], f[:, 2], half_w[level], cols[level])
+    row_lo, row_hi = window(f[:, 1], f[:, 3], half_h[level], rows[level])
+    if limit is not None and np.sum(np.maximum(col_hi - col_lo + 1, 0) * np.maximum(row_hi - row_lo + 1, 0)) > limit:
+        return None
     face, _, _, _, anchor = _expand_windows(face, level, row_lo, row_hi, col_lo, col_hi, cols, start)
+    return face, anchor
+
+
+def grid_overlaps(grid: AnchorGrid, faces: Sequence[Box] | np.ndarray) -> Overlaps:
+    """``overlaps(grid.boxes, faces)``, reading only anchors a face can reach.
+
+    On a lattice grid only the `_window_candidates` of the faces are scored,
+    so work is O(faces x levels + candidates) rather than O(anchors). Rows,
+    order and IoUs are those of `overlaps`. Other grids go through
+    `overlaps`.
+    """
+    faces = as_box_array(faces)
+    if not grid.lattice:
+        return overlaps(grid.boxes, faces)
+    face, anchor = _window_candidates(grid, faces)
     return _scored(grid.boxes, faces, anchor, face)
 
 

@@ -119,9 +119,13 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
       and one row above;
     * the cell doubles while the faces' cells, or the window they span,
       exceed 4 per box of the class plus 9 per face, so tiny or sparse
-      classes stay cheap;
+      classes stay cheap. It starts at the larger of the class's side and
+      the power of two below which the faces' span alone breaks that
+      budget;
     * a box and a face sharing a cell are a candidate, so each pair is found
-      once, and candidates that do not intersect are dropped.
+      once, and candidates that do not intersect are dropped;
+    * when boxes x faces is itself within one class's budget, as for a few
+      faces, every box and face is a candidate and nothing is hashed.
     """
     boxes = as_box_array(boxes)
     faces = as_box_array(faces)
@@ -134,6 +138,8 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
     if bi.size == 0 or fi.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         return Overlaps(empty, empty, np.zeros(0))
+    if bi.size * fi.size <= 4 * bi.size + 9 * fi.size:
+        return _scored(boxes, faces, np.repeat(bi, fi.size), np.tile(fi, bi.size))
     exps = np.frexp(np.maximum(bw[bi], bh[bi]))[1]  # side < 2**exp
     present = np.bincount(exps - exps.min()) > 0
     cls_of = (np.cumsum(present) - 1)[exps - exps.min()]
@@ -149,15 +155,21 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
     f_keys, f_ids = [], []
     n_keys = 0
     live = faces[fi]
+    lo_x, lo_y, hi_x, hi_y = live[:, 0].min(), live[:, 1].min(), live[:, 2].max(), live[:, 3].max()
     for k in range(n_cls):
-        c = cell[k]
+        budget = 4.0 * n_box[k] + 9.0 * fi.size
+        # A span S covers at least S / c + 1 cells, so a cell below
+        # max(Sx, Sy, sqrt(Sx * Sy * budget)) / budget leaves the window
+        # over budget. Spans are divided first so that they stay finite.
+        sx, sy = hi_x / budget - lo_x / budget, hi_y / budget - lo_y / budget
+        need = max(sx, sy, np.sqrt(sx) * np.sqrt(sy) * np.sqrt(budget))
+        c = max(cell[k], np.ldexp(1.0, np.frexp(need)[1] - 1))
         while True:
             x0, x1 = np.floor(live[:, 0] / c) - 1.0, np.floor(live[:, 2] / c)
             y0, y1 = np.floor(live[:, 1] / c) - 1.0, np.floor(live[:, 3] / c)
             w, h = x1 - x0 + 1.0, y1 - y0 + 1.0
             ox, oy = x0.min(), y0.min()
             ex, ey = x1.max() - ox + 1.0, y1.max() - oy + 1.0
-            budget = 4.0 * n_box[k] + 9.0 * fi.size
             if np.sum(w * h) <= budget and ex * ey <= budget:
                 break
             c *= 2.0
@@ -197,7 +209,8 @@ def _scored(boxes: np.ndarray, faces: np.ndarray, box: np.ndarray, face: np.ndar
     """The candidate pairs with IoU > 0, by `pairwise_iou`'s arithmetic, in `Overlaps` order.
 
     Each (box, face) candidate appears once, and the candidates of a box
-    come in ascending face order, so ties on IoU keep the lower face first.
+    that tie on IoU come in ascending face order, so the lower face stays
+    first.
     """
     b, f = boxes.take(box, axis=0), faces.take(face, axis=0)
     iw = np.minimum(b[:, 2], f[:, 2]) - np.maximum(b[:, 0], f[:, 0])

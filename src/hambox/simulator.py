@@ -23,13 +23,14 @@ import numpy as np
 from .anchors import (
     AnchorConfig,
     AnchorGrid,
+    _window_candidates,
     cover_image_size,
     default_hambox_config,
     generate_anchors,
     grid_overlaps,
 )
 from .assignment import SOURCE_HAMBOX, Assignment, MatchParams, first_step_from_overlaps
-from .geometry import Box, Overlaps, as_box_array, elementwise_iou, encode_boxes, overlaps
+from .geometry import Box, Overlaps, _scored, as_box_array, elementwise_iou, encode_boxes, overlaps
 from .ingest import FaceAnnotation, ImageRecord, _map_images
 from .losses import (
     LossParams,
@@ -44,9 +45,10 @@ from .mining import (
     _quality,
     ignore_mask,
 )
-from .stats import ProvenanceReport, combine_reports, provenance_report
+from .stats import CPBB_IOU, ProvenanceReport, combine_reports, provenance_report
 
 _MIN_BOX_SIDE = 1e-6  # jittered corners may not invert a box
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,9 @@ def simulate_regression(
     height (y coordinates). `stream` separates images sharing a seed.
     """
     faces = as_box_array(faces)
-    ref, overlap = _pull_targets(grid.boxes, faces, grid_overlaps(grid, faces))
-    return _regress(grid.boxes, ref, overlap, model, iteration, stream)
+    ref, pulled = _pull_targets(grid.boxes, faces, grid_overlaps(grid, faces))
+    noise = _noise(model, iteration, stream, grid.boxes.shape)
+    return _regress(grid.boxes, ref, pulled, model.q_at(iteration), model.noise_sigma, noise)
 
 
 def _pull_targets(
@@ -131,25 +134,51 @@ def _pull_targets(
     return ref, overlap
 
 
+def _noise(model: RegressorModel, iteration: int, stream: int, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The iteration's keyed normals for every anchor, or None without noise."""
+    return _keyed_normals(model.seed, iteration, stream, shape) if model.noise_sigma > 0.0 else None
+
+
 def _regress(
     boxes: np.ndarray,
     ref: np.ndarray,
-    overlap: np.ndarray,
-    model: RegressorModel,
-    iteration: int,
-    stream: int,
+    pulled: np.ndarray,
+    q: float,
+    noise_sigma: float,
+    noise: np.ndarray | None,
 ) -> np.ndarray:
-    q = model.q_at(iteration)
-    out = np.where(overlap[:, None], boxes + q * (ref - boxes), boxes)
-    if model.noise_sigma > 0.0:
-        noise = _keyed_normals(model.seed, iteration, stream, boxes.shape)
+    """Predicted boxes of some anchors, from their rows of boxes, ref, pulled and noise.
+
+    Every row is computed on its own, so a subset of rows comes out
+    bit-equal to the same rows of the whole grid.
+    """
+    out = np.where(pulled[:, None], boxes + q * (ref - boxes), boxes)
+    if noise is not None:
         ref_w = ref[:, 2] - ref[:, 0]
         ref_h = ref[:, 3] - ref[:, 1]
-        scale = np.stack([ref_w, ref_h, ref_w, ref_h], axis=1) * model.noise_sigma
+        scale = np.stack([ref_w, ref_h, ref_w, ref_h], axis=1) * noise_sigma
         out = out + noise * scale
         out[:, 2] = np.maximum(out[:, 2], out[:, 0] + _MIN_BOX_SIDE)
         out[:, 3] = np.maximum(out[:, 3], out[:, 1] + _MIN_BOX_SIDE)
     return out
+
+
+def _jitter_reach(grid: AnchorGrid, noise: np.ndarray, moved: np.ndarray, noise_sigma: float) -> np.ndarray:
+    """(L, 2): per level, how far jitter can move an x and a y coordinate of an unpulled anchor.
+
+    An unpulled anchor's reference is itself, so a coordinate moves by
+    noise_sigma x |noise| times its width (x) or height (y); the bound takes
+    the level's largest |noise| over its unpulled rows. The clamp
+    ``x1 >= x0 + _MIN_BOX_SIDE`` fires only when it raises x1 to at most
+    x0 + reach + _MIN_BOX_SIDE, which is within x1 + reach + _MIN_BOX_SIDE
+    because x1 >= x0; so adding _MIN_BOX_SIDE to the reach bounds every
+    corner of every unpulled box.
+    """
+    _, aw, ah, *_, start = grid._layout
+    mag = np.abs(noise)
+    mag[moved] = 0.0
+    peak = np.maximum.reduceat(mag.ravel(), start * 4)  # rows are 4 wide
+    return noise_sigma * peak[:, None] * np.stack([aw, ah], axis=1) + _MIN_BOX_SIDE
 
 
 def synthetic_dataset(
@@ -192,12 +221,19 @@ def synthetic_dataset(
 
 @dataclass(frozen=True)
 class MinedIteration:
-    """One iteration of the per-image mining sequence."""
+    """One iteration of the per-image mining sequence.
+
+    `regressed` holds the predicted box of every anchor that can meet a
+    face: the anchors pulled toward a face, and on a noisy lattice grid the
+    unpulled anchors inside a face's widened window. Those rows are
+    bit-equal to `simulate_regression`; every other row is NaN. An anchor
+    with a NaN row meets no face, so its F is 0 and it is never positive.
+    """
 
     iteration: int
     first: Assignment  # first matching step, shared by every iteration
     assigned: Assignment  # first step plus online compensation
-    regressed: np.ndarray  # (N, 4) predicted boxes
+    regressed: np.ndarray  # (N, 4) predicted boxes; NaN where not computed
     quality: AnchorQuality
     ignore: np.ndarray  # (N,) bool
 
@@ -217,26 +253,72 @@ def mine_image(
     quality and build the ignore mask. The first step and each anchor's
     best-face pull do not change between iterations; both come from one
     anchor-by-face pair list. One regressed-by-face pair list per iteration
-    feeds both compensation and quality. Memory is O(anchors + overlapping
-    pairs): no anchors x faces matrix is built.
+    feeds both compensation and quality, and it is the pair list of
+    `overlaps(simulate_regression(...), faces)`:
+
+    * the pulled anchors (those in the first pair list) go through
+      `overlaps`;
+    * every other anchor is its own box plus jitter, so on a lattice grid
+      it is scored only against the faces whose window on its level, widened
+      by that level's largest jitter, holds it. Without noise it stays on
+      itself and meets no face, so no window is searched.
+
+    Only the rows those searches read are regressed (see `MinedIteration`);
+    the noise is still drawn for every anchor, as the stream fixes it. On a
+    grid not laid out by `generate_anchors`, or when the windows would hold
+    more candidates than the grid has anchors, a noisy iteration regresses
+    every anchor and hashes every box through `overlaps`. Memory is
+    O(anchors + candidate pairs): no anchors x faces matrix is built.
     """
     faces = as_box_array(faces)
     pairs = grid_overlaps(grid, faces)
     first = first_step_from_overlaps(grid, faces, pairs, match)
-    ref, overlap = _pull_targets(grid.boxes, faces, pairs)
-    # Without noise an anchor that overlaps no face regresses onto itself
-    # and still overlaps none, so only the pulled boxes are searched.
-    moved = None if model.noise_sigma > 0.0 else np.flatnonzero(overlap)
+    ref, pulled = _pull_targets(grid.boxes, faces, pairs)
+    moved = np.flatnonzero(pulled)
     for t in range(n_iters):
-        regressed = _regress(grid.boxes, ref, overlap, model, t, stream)
-        if moved is None:
-            pairs = overlaps(regressed, faces)
-        else:
-            pairs = overlaps(regressed[moved], faces)
-            pairs = Overlaps(moved[pairs.box], pairs.face, pairs.iou)
+        noise = _noise(model, t, stream, grid.boxes.shape)
+        regressed, pairs = _regressed_pairs(grid, faces, ref, pulled, moved, model.q_at(t), model.noise_sigma, noise)
         assigned = _compensate(first, grid, faces, pairs, comp)
         quality = _quality(pairs, len(grid))
         yield MinedIteration(t, first, assigned, regressed, quality, ignore_mask(assigned, quality))
+
+
+def _regressed_pairs(
+    grid: AnchorGrid,
+    faces: np.ndarray,
+    ref: np.ndarray,
+    pulled: np.ndarray,
+    moved: np.ndarray,
+    q: float,
+    noise_sigma: float,
+    noise: np.ndarray | None,
+) -> tuple[np.ndarray, Overlaps]:
+    """One iteration's regressed boxes and their pairs with the faces, searched as `mine_image` says."""
+    face, anchor = _EMPTY, _EMPTY
+    if noise is not None:
+        # Windows that hold more candidates than the grid has anchors cost
+        # more than hashing every regressed box.
+        found = None
+        if grid.lattice:
+            found = _window_candidates(grid, faces, _jitter_reach(grid, noise, moved, noise_sigma), len(grid))
+        if found is None:
+            regressed = _regress(grid.boxes, ref, pulled, q, noise_sigma, noise)
+            return regressed, overlaps(regressed, faces)
+        face, anchor = found
+        keep = ~pulled[anchor]
+        face, anchor = face[keep], anchor[keep]
+    need = pulled.copy()
+    need[anchor] = True
+    rows = np.flatnonzero(need)
+    regressed = np.full(grid.boxes.shape, np.nan)
+    row_noise = None if noise is None else noise[rows]
+    regressed[rows] = _regress(grid.boxes[rows], ref[rows], pulled[rows], q, noise_sigma, row_noise)
+    # A pulled box's pairs come in IoU order with ties in face order, a
+    # windowed box's in face order, and no box is in both lists: one
+    # `_scored` pass puts them in `overlaps` order.
+    near = overlaps(regressed[moved], faces)
+    box, face = np.concatenate([moved[near.box], anchor]), np.concatenate([near.face, face])
+    return regressed, _scored(regressed, faces, box, face)
 
 
 def run_simulation(
@@ -296,7 +378,15 @@ def run_simulation(
                 int(it.ignore.sum()),
             ))
             if provenance and it.iteration == n_iters - 1:
-                report = provenance_report(it.first, grid, it.quality, it.regressed, probs, faces, 0.5)
+                # The report's NMS reads every box that scores at least its
+                # weakest correct step-1 box, whose F exceeds CPBB_IOU. The
+                # rows left NaN have F = 0; a scorer that does not rank
+                # F = 0 strictly lower needs their boxes too.
+                regressed = it.regressed
+                weakest = probs[it.quality.F > CPBB_IOU].min(initial=np.inf)
+                if np.any(probs[np.isnan(regressed[:, 0])] >= weakest):
+                    regressed = simulate_regression(grid, faces, model, it.iteration, i)
+                report = provenance_report(it.first, grid, it.quality, regressed, probs, faces, 0.5)
         return rows, report
 
     per_image = _map_images(work, len(dataset), threads)

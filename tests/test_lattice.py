@@ -2,11 +2,15 @@
 
 `grid_overlaps` must return exactly `overlaps(grid.boxes, faces)` on every
 grid that `generate_anchors` lays out, and fall back to it on grids built
-by hand. `generate_anchors` must keep the boxes of the meshgrid layout it
-was first written with, which is kept here as the reference.
+by hand. `mine_image`'s windowed search of noisy regressed boxes must
+return exactly `overlaps` on `simulate_regression`. `generate_anchors` must
+keep the boxes of the meshgrid layout it was first written with, which is
+kept here as the reference.
 """
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +26,14 @@ from hambox.anchors import (
     generate_anchors,
     grid_overlaps,
 )
+from hambox.assignment import MatchParams
 from hambox.cli import main
-from hambox.geometry import overlaps
-from hambox.ingest import load_wider_annotations
+from hambox.geometry import Box, overlaps
+from hambox.ingest import FaceAnnotation, ImageRecord, load_wider_annotations
+from hambox.losses import LossParams, sigmoid
+from hambox.mining import CompensationParams
+from hambox.simulator import RegressorModel, mine_image, run_simulation, simulate_regression
+from hambox.stats import provenance_report
 
 
 def meshgrid_anchors(config, image_w, image_h):
@@ -147,6 +156,64 @@ class TestGridOverlaps:
         assert got.box.tolist() == [0, 1, 2]
 
 
+class TestNoisyRegressedSearch:
+    @given(
+        lattice_cases(),
+        st.booleans(),
+        st.floats(0.0, 1.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.3), st.floats(0.0, 3.0)),  # up to many cells of reach
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 50),
+        st.floats(0.0, 1.0),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_overlaps_on_simulated_regression(self, case, lattice, q, sigma, seed, stream, T, K):
+        grid, faces = case
+        if not lattice:  # the same boxes, as a hand-built grid
+            grid = replace(grid, lattice=False)
+        model = RegressorModel(q=q, noise_sigma=sigma, seed=seed)
+        seen = []
+        real = simulator._quality
+
+        def spy(pairs, n):
+            seen.append(pairs)
+            return real(pairs, n)
+
+        with mock.patch.object(simulator, "_quality", spy):
+            mined = list(mine_image(grid, faces, model, 2, stream, MatchParams(), CompensationParams(T=T, K=K)))
+        for it, pairs in zip(mined, seen, strict=True):
+            want = simulate_regression(grid, faces, model, it.iteration, stream)
+            assert_same_pairs(pairs, overlaps(want, faces))
+            assert it.regressed.shape == want.shape
+            done = ~np.isnan(it.regressed[:, 0])
+            assert np.isnan(it.regressed[~done]).all()
+            assert np.array_equal(it.regressed[done], want[done])
+            assert done[pairs.box].all()
+
+    def test_flat_scorer_provenance_reads_every_box(self):
+        """With scorer_scale 0 every anchor scores alike, so the report's NMS reads boxes that meet no face.
+
+        Here an anchor that meets no face suppresses one that would have
+        suppressed the only correct step-1 box: its row must not be NaN.
+        """
+        config = AnchorConfig(levels=((3.0, 12.0), (5.0, 19.0)))
+        boxes = (Box(10.0, 3.0, 17.0, 12.0), Box(2.0, 16.0, 17.0, 23.0))
+        dataset = [ImageRecord("a.jpg", tuple(FaceAnnotation(b) for b in boxes))]
+        faces = dataset[0].face_boxes()
+        model = RegressorModel(q=0.0)
+        match, comp = MatchParams(), CompensationParams()
+        _, got = run_simulation(dataset, config, comp, LossParams(), model, 1, match, (48, 48), 0.0, provenance=True)
+        grid = generate_anchors(config, 48, 48)
+        it = next(mine_image(grid, faces, model, 1, 0, match, comp))
+        assert np.isnan(it.regressed).any()
+        probs = sigmoid(0.0 * it.quality.F - 2.0)
+        full = simulate_regression(grid, faces, model, 0, 0)
+        want = provenance_report(it.first, grid, it.quality, full, probs, faces, 0.5)
+        assert (want.faces_matched_cpbb, want.faces_matched_cpbb_post_nms) == (1, 0)
+        assert got.faces_matched_cpbb_post_nms == 0
+
+
 def assert_meshgrid_layout(config, image_w, image_h):
     grid = generate_anchors(config, image_w, image_h)
     for got, want in zip((grid.boxes, grid.level_of, grid.cell_of), meshgrid_anchors(config, image_w, image_h)):
@@ -183,7 +250,7 @@ CROWD = "".join(f"crowd/{i}.jpg\n{n}\n" + "".join(map(face_line, range(n))) for 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 def test_hambox_assign_searches_only_pulled_boxes(tmp_path, monkeypatch, noise):
-    """Without noise, the regressed search reads only anchors in the grid pair list."""
+    """The hashed regressed search reads only anchors in the grid pair list, with or without noise."""
     gt = tmp_path / "gt.txt"
     gt.write_text(CROWD)
     ini = tmp_path / "cfg.ini"
@@ -204,5 +271,5 @@ def test_hambox_assign_searches_only_pulled_boxes(tmp_path, monkeypatch, noise):
         grid = generate_anchors(config, *cover_image_size(faces, config))
         pulled.append(np.unique(grid_overlaps(grid, faces).box).size)
         anchors.append(len(grid))
-    assert seen == (pulled if noise == 0.0 else anchors)
+    assert seen == pulled
     assert all(p < a for p, a in zip(pulled, anchors))

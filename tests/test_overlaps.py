@@ -159,6 +159,15 @@ class TestOverlapsMatchesDense:
         got = assert_matches_dense(boxes, faces)
         assert got.box.tolist() == [0, 1, 2, 2]
 
+    def test_faces_spanning_1e300(self):
+        # Faces 2e300 long and 1e-299 thin have finite areas; their span sets
+        # the cell size of every class. Five faces keep the boxes hashed.
+        grid = generate_anchors(default_hambox_config(), 640, 640)
+        small = [[300.0, 310.0, 320.0, 330.0], [40.0, 50.0, 47.0, 61.0], [500.0, 20.0, 590.0, 130.0]]
+        faces = np.array(small + [[-1e300, 0.0, 1e300, 1e-299], [0.0, -1e300, 1e-299, 1e300]])
+        got = assert_matches_dense(grid.boxes, faces)
+        assert set(got.face.tolist()) == set(range(5))
+
     def test_no_boxes_or_faces(self):
         assert assert_matches_dense(np.zeros((0, 4)), np.ones((3, 4))).box.size == 0
         assert assert_matches_dense(np.ones((3, 4)), np.zeros((0, 4))).box.size == 0

@@ -57,6 +57,11 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     grid_ini = ini("grid.ini", "[anchors]\nstrides = 16, 32\nbase_scales = 40, 80\nscale_ratio = 1.0\n")
     noisy_ini = ini("noisy.ini", "[simulator]\nnoise_sigma = 0.05\nq = 0.8\n[compensation]\nk = 5\n")
     min_side_ini = ini("min_side.ini", "[data]\nmin_side = 6\n")
+    # Jitter of several cells: the regressed search's windows grow past their one-cell slack.
+    wide_noise_ini = ini("wide_noise.ini", "[simulator]\nnoise_sigma = 0.5\nq = 0.7\n[compensation]\nT = 0.5\n")
+    # Every anchor scores alike, so the provenance NMS reads boxes that meet no face.
+    flat_ini = ini("flat.ini", "[anchors]\nstrides = 16, 32\nbase_scales = 40, 80\n"
+                   "[simulator]\nnoise_sigma = 0.3\nscore_scale = 0\n")
 
     runs = [
         ("anchors-640", ["anchors"]),
@@ -72,6 +77,10 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
         ("simulate-threads", ["--seed", "4", "--threads", "2", "simulate", "--synthetic-images", "3", "--iters", "2"]),
         ("simulate-annotations", ["--seed", "2", "simulate", "--annotations", small, "--iters", "2", "--provenance"]),
         ("simulate-noisy", ["--config", noisy_ini, "--seed", "9", "simulate", "--synthetic-images", "2", "--iters", "2"]),
+        ("simulate-wide-noise", ["--config", wide_noise_ini, "--seed", "8", "--threads", "2", "simulate",
+                                 "--synthetic-images", "3", "--iters", "3", "--provenance"]),
+        ("simulate-flat-scorer", ["--config", flat_ini, "--seed", "5", "simulate", "--synthetic-images", "2",
+                                  "--iters", "2", "--provenance"]),
         ("loss-check", ["--seed", "3", "loss-check", "--trials", "5"]),
     ]
     for strategy in STRATEGIES:
@@ -81,6 +90,8 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     for strategy in ("sms", "hambox"):
         runs.append((f"assign-braces-{strategy}", ["assign", "--annotations", braces, "--strategy", strategy]))
     runs.append(("assign-noisy", ["--config", noisy_ini, "assign", "--annotations", small, "--strategy", "hambox"]))
+    runs.append(("assign-wide-noise", ["--config", wide_noise_ini, "--seed", "3", "assign", "--annotations", small,
+                                       "--strategy", "hambox"]))
     runs.append(("assign-T-K", ["--seed", "6", "assign", "--annotations", small, "--strategy", "hambox",
                                 "--sim-quality", "1.0", "--T", "0.6", "--K", "4"]))
     for seed in SEEDS:
