@@ -4,7 +4,8 @@ Ground-truth input follows the WIDER FACE ``*_bbx_gt.txt`` layout: repeated
 blocks of an image path line, a face-count line, and one line of ten
 space-separated integers per face (``x y w h blur expression illumination
 invalid occlusion pose``). A block declaring zero faces is followed by a
-single all-zero placeholder line, which is consumed and discarded.
+single all-zero placeholder line, which is consumed and discarded. A face
+with a corner coordinate past 2**53 in magnitude is malformed.
 
 Configuration is a sectioned key-value (INI) file read off the fields of
 :class:`ToolConfig` (see ``_ini_view``); every key is optional and defaults to
@@ -37,6 +38,11 @@ STRATEGIES = ("sms", "dms", "nams", "hambox")
 
 # WIDER FACE attribute ranges: (name, max code); all minimums are 0.
 _ATTR_RANGES = (("blur", 2), ("expression", 1), ("illumination", 1), ("invalid", 1), ("occlusion", 2), ("pose", 1))
+
+
+# Past 2**53 float64 no longer holds every integer, so a face's box would
+# not be its annotated box.
+_MAX_COORD = 2**53
 
 
 class AnnotationParseError(ValueError):
@@ -177,6 +183,11 @@ def parse_wider_annotations(
             except ValueError as exc:
                 if strict:
                     raise AnnotationParseError(f"line {reader.lineno}: {exc}") from None
+                skipped_malformed += 1
+                continue
+            if max(abs(x), abs(y), abs(x + w), abs(y + h)) > _MAX_COORD:
+                if strict:
+                    raise AnnotationParseError(f"line {reader.lineno}: face coordinate beyond 2**53 in magnitude")
                 skipped_malformed += 1
                 continue
             names = [name for name, _ in _ATTR_RANGES]

@@ -4,11 +4,13 @@ The dataset-level counters use a windowed candidate search instead of
 materializing full anchor grids: a face can only hold anchors whose center
 falls inside its overlap window, and a (face, level) pair whose box areas
 differ by more than the IoU threshold allows can never produce a positive.
-One window search covers every pyramid level. Within the candidate set the
-per-anchor argmax and tie-breaks are identical to the dense matcher, so
-counts agree exactly with brute force over the full grid (the tests assert
-this). A run walks the dataset once, reducing each image to a few integers
-per anchor config, so a scale-ratio sweep reads every record once.
+Within the candidate set the per-anchor argmax and tie-breaks are identical
+to the dense matcher, so counts agree exactly with brute force over the full
+grid (the tests assert this). A run walks the dataset once. Each image is
+scored for every anchor config and pyramid level together, as layers of one
+window search, in passes of at most `_PASS_CELLS` window cells, and each pass
+is reduced to a few integers per config. Memory per image is bounded by the
+pass, whatever the number of configs in a scale-ratio sweep.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchors import AnchorConfig, AnchorGrid, _expand_windows, _lattice, cover_image_size
+from .anchors import AnchorConfig, AnchorGrid, _expand_windows
 from .assignment import BACKGROUND, SOURCE_STEP1, Assignment
 from .geometry import Box, as_box_array, elementwise_iou, nms
-from .ingest import ImageRecord, _map_images, filter_valid
+from .ingest import ImageRecord, _map_images
 from .mining import HIGH_QUALITY_IOU, AnchorQuality
 
 CPBB_IOU = 0.5  # a prediction is correct when it clears this IoU against some face
@@ -81,7 +83,82 @@ class ProvenanceReport:
 
 def valid_face_boxes(record: ImageRecord) -> np.ndarray:
     """The record's face boxes that `filter_valid` keeps."""
-    return filter_valid([record])[0].face_boxes()
+    boxes = record.face_boxes()
+    invalid = np.array([f.invalid == 1 for f in record.faces], dtype=bool)
+    return boxes[~invalid & (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])]
+
+
+# Window cells one census pass may score. Passes split only between configs,
+# so every face of an anchor is in the anchor's pass; a config with more
+# cells runs alone.
+_PASS_CELLS = 2**14
+
+
+def _layers(faces: np.ndarray, sizes: np.ndarray, image_size: tuple[int, int] | None) -> tuple[np.ndarray, ...]:
+    """`_lattice` of every (config, level) layer, config-major, from stacked `_sizes` (K, 3, L).
+
+    Each config's lattice covers `image_size`, or else that config's
+    `cover_image_size`, computed with the same float operations. First
+    indices run on across configs, so an anchor's index names its config too.
+    """
+    strides, aw, ah = sizes.transpose(1, 0, 2)
+    if image_size is not None:
+        w, h = (np.full(sizes.shape[0], float(v)) for v in image_size)
+    else:
+        top = faces.max(axis=0, initial=-np.inf)
+        w = np.ceil(np.maximum(top[2] + (strides + aw / 2.0).max(axis=1), strides[:, -1]))
+        h = np.ceil(np.maximum(top[3] + (strides + ah / 2.0).max(axis=1), strides[:, -1]))
+    rows = np.ceil(h[:, None] / strides).astype(np.int64).ravel()
+    cols = np.ceil(w[:, None] / strides).astype(np.int64).ravel()
+    return strides.ravel(), aw.ravel(), ah.ravel(), rows, cols, np.cumsum(rows * cols) - rows * cols
+
+
+def _windows(faces: np.ndarray, layers: tuple[np.ndarray, ...], iou_threshold: float) -> tuple[np.ndarray, ...]:
+    """Face, layer and inclusive row and col bounds of every (face, layer) window, layer-major.
+
+    A (face, layer) pair whose areas differ by more than the threshold
+    allows gets no window.
+    """
+    strides, aw, ah, rows, cols, _ = layers
+    face_area = (faces[:, 2] - faces[:, 0]) * (faces[:, 3] - faces[:, 1])
+    a_area = (aw * ah)[:, None]
+    # Area-ratio bound: IoU <= min(A_a, A_f) / max(A_a, A_f), over (layer, face).
+    li, fi = np.nonzero(np.minimum(a_area, face_area) / np.maximum(a_area, face_area) >= iou_threshold)
+    stride, hw, hh = strides[li], aw[li] / 2.0, ah[li] / 2.0
+    col_lo = np.clip(np.ceil((faces[fi, 0] - hw) / stride - 0.5), 0, cols[li] - 1).astype(np.int64)
+    col_hi = np.clip(np.floor((faces[fi, 2] + hw) / stride - 0.5), 0, cols[li] - 1).astype(np.int64)
+    row_lo = np.clip(np.ceil((faces[fi, 1] - hh) / stride - 0.5), 0, rows[li] - 1).astype(np.int64)
+    row_hi = np.clip(np.floor((faces[fi, 3] + hh) / stride - 0.5), 0, rows[li] - 1).astype(np.int64)
+    return fi, li, row_lo, row_hi, col_lo, col_hi
+
+
+def _positives(
+    faces: np.ndarray, layers: tuple[np.ndarray, ...], windows: tuple[np.ndarray, ...], iou_threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Face and layer of every anchor in `windows` that is a first-step positive."""
+    strides, aw, ah, _, cols, start = layers
+    face, layer, rr, cc, anchor = _expand_windows(*windows, cols, start)
+    stride, hw, hh = strides[layer], aw[layer] / 2.0, ah[layer] / 2.0
+    cx = cc.astype(np.float64) * stride + stride / 2.0
+    cy = rr.astype(np.float64) * stride + stride / 2.0
+    fb = faces[face]
+    iw = np.minimum(cx + hw, fb[:, 2]) - np.maximum(cx - hw, fb[:, 0])
+    ih = np.minimum(cy + hh, fb[:, 3]) - np.maximum(cy - hh, fb[:, 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = aw[layer] * ah[layer] + (fb[:, 2] - fb[:, 0]) * (fb[:, 3] - fb[:, 1]) - inter
+    iou = np.where(union > 0.0, inter / union, 0.0)
+    # An anchor is positive only when its best IoU clears the threshold, and
+    # then every face tied for best clears it too. Pairs below it can never
+    # win, so dropping them leaves the winners and their tie order unchanged.
+    keep = np.flatnonzero(iou >= iou_threshold)
+    face, layer, anchor, iou = face[keep], layer[keep], anchor[keep], iou[keep]
+    # Per-anchor argmax with the dense tie-breaks: IoU desc, face index asc.
+    # The anchor key is its index over all layers, so it includes the level.
+    order = np.lexsort((face, -iou, anchor))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = anchor[order][1:] != anchor[order][:-1]
+    winners = order[first]
+    return face[winners], layer[winners]
 
 
 def _image_census(
@@ -90,40 +167,56 @@ def _image_census(
     iou_threshold: float,
     image_size: tuple[int, int] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-face positive counts (F,) and per-face-per-level matched flags (F, L)."""
+    """Per-face positive counts (F,) and per-face-per-level matched flags (F, L).
+
+    The census kernel on one config, in one pass.
+    """
+    layers = _layers(faces, np.asarray(config._sizes)[None], image_size)
+    face, level = _positives(faces, layers, _windows(faces, layers, iou_threshold), iou_threshold)
+    level_hit = np.zeros((faces.shape[0], len(config.levels)), dtype=bool)
+    level_hit[face, level] = True
+    return np.bincount(face, minlength=faces.shape[0]), level_hit
+
+
+def _census_tally(
+    faces: np.ndarray, sizes: np.ndarray, iou_threshold: float, image_size: tuple[int, int] | None
+) -> np.ndarray:
+    """One image's census per config: faces, matched faces, positives, then matched faces per level.
+
+    `sizes` (K, 3, L) stacks each config's `_sizes`. Windows are built for
+    blocks of configs with at most `_PASS_CELLS` (face, layer) pairs, and
+    scored in passes of at most `_PASS_CELLS` window cells. Each pass is
+    reduced into the tally, so memory is bounded whatever K is.
+    """
+    n_configs, _, n_levels = sizes.shape
     n_faces = faces.shape[0]
-    w, h = image_size if image_size is not None else cover_image_size(faces, config)
-    strides, aw, ah, rows, cols, start = _lattice(config, w, h)
-    a_area = aw * ah
-    face_area = (faces[:, 2] - faces[:, 0]) * (faces[:, 3] - faces[:, 1])
-    # Area-ratio bound: IoU <= min(A_a, A_f) / max(A_a, A_f), over (F, L).
-    bound = np.minimum(a_area, face_area[:, None]) / np.maximum(a_area, face_area[:, None])
-    fi, li = np.nonzero(bound >= iou_threshold)
-    stride, hw, hh = strides[li], aw[li] / 2.0, ah[li] / 2.0
-    col_lo = np.clip(np.ceil((faces[fi, 0] - hw) / stride - 0.5), 0, cols[li] - 1).astype(np.int64)
-    col_hi = np.clip(np.floor((faces[fi, 2] + hw) / stride - 0.5), 0, cols[li] - 1).astype(np.int64)
-    row_lo = np.clip(np.ceil((faces[fi, 1] - hh) / stride - 0.5), 0, rows[li] - 1).astype(np.int64)
-    row_hi = np.clip(np.floor((faces[fi, 3] + hh) / stride - 0.5), 0, rows[li] - 1).astype(np.int64)
-    face, level, rr, cc, anchor = _expand_windows(fi, li, row_lo, row_hi, col_lo, col_hi, cols, start)
-    stride, hw, hh = strides[level], aw[level] / 2.0, ah[level] / 2.0
-    cx = cc.astype(np.float64) * stride + stride / 2.0
-    cy = rr.astype(np.float64) * stride + stride / 2.0
-    fb = faces[face]
-    iw = np.minimum(cx + hw, fb[:, 2]) - np.maximum(cx - hw, fb[:, 0])
-    ih = np.minimum(cy + hh, fb[:, 3]) - np.maximum(cy - hh, fb[:, 1])
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    union = a_area[level] + face_area[face] - inter
-    iou = np.where(union > 0.0, inter / union, 0.0)
-    # Per-anchor argmax with the dense tie-breaks: IoU desc, face index asc.
-    # The anchor key is its index in the dense grid, so it includes the level.
-    order = np.lexsort((face, -iou, anchor))
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = anchor[order][1:] != anchor[order][:-1]
-    winners = order[first]
-    pos = winners[iou[winners] >= iou_threshold]
-    level_hit = np.zeros((n_faces, len(config.levels)), dtype=bool)
-    level_hit[face[pos], level[pos]] = True
-    return np.bincount(face[pos], minlength=n_faces), level_hit
+    tally = np.zeros((n_configs, 3 + n_levels), dtype=np.int64)
+    tally[:, 0] = n_faces
+    if n_faces == 0:
+        return tally
+    block = max(1, _PASS_CELLS // (n_faces * n_levels))
+    for b0 in range(0, n_configs, block):
+        layers = _layers(faces, sizes[b0 : b0 + block], image_size)
+        windows = _windows(faces, layers, iou_threshold)
+        n = layers[0].size // n_levels
+        per = np.maximum(windows[3] - windows[2] + 1, 0) * np.maximum(windows[5] - windows[4] + 1, 0)
+        # Cells and windows before each config of the block.
+        cells = np.concatenate(([0], np.cumsum(np.bincount(windows[1] // n_levels, per, minlength=n))))
+        ends = np.searchsorted(windows[1], np.arange(n + 1) * n_levels)
+        c0 = 0
+        while c0 < n:
+            c1 = max(c0 + 1, int(np.searchsorted(cells, cells[c0] + _PASS_CELLS, side="right")) - 1)
+            face, layer = _positives(faces, layers, [w[ends[c0] : ends[c1]] for w in windows], iou_threshold)
+            layer -= c0 * n_levels
+            # Configs x levels x faces of a pass is at most _PASS_CELLS, or one config's.
+            hit = np.zeros((c1 - c0, n_levels, n_faces), dtype=bool)
+            hit.reshape(-1, n_faces)[layer, face] = True
+            out = tally[b0 + c0 : b0 + c1]
+            out[:, 1] += hit.any(axis=1).sum(axis=1)
+            out[:, 2] += np.bincount(layer // n_levels, minlength=c1 - c0)
+            out[:, 3:] += hit.sum(axis=2)
+            c0 = c1
+    return tally
 
 
 def _census(
@@ -133,22 +226,20 @@ def _census(
     image_sizes: Sequence[tuple[int, int]] | None,
     threads: int,
 ) -> list[MatchCensus]:
-    """One `MatchCensus` per config, from one walk that filters each record once."""
+    """One `MatchCensus` per config, from one walk that reads each record once.
+
+    Configs must share their number of levels.
+    """
     if iou_threshold <= 0.0:
         raise ValueError(f"iou_threshold must be > 0 for census counting, got {iou_threshold}")
-    # Per config: faces, matched faces, positives, then matched faces per level.
-    shape = (len(configs), 3 + (len(configs[0].levels) if configs else 0))
+    n_levels = len(configs[0].levels) if configs else 0
+    sizes = np.array([c._sizes for c in configs], dtype=np.float64).reshape(len(configs), 3, n_levels)
 
     def work(i: int) -> np.ndarray:
-        faces = valid_face_boxes(dataset[i])
         size = image_sizes[i] if image_sizes is not None else None
-        tally = np.zeros(shape, dtype=np.int64)
-        for row, config in zip(tally, configs):
-            counts, level_hit = _image_census(faces, config, iou_threshold, size)
-            row[:] = faces.shape[0], np.count_nonzero(counts), counts.sum(), *level_hit.sum(axis=0)
-        return tally
+        return _census_tally(valid_face_boxes(dataset[i]), sizes, iou_threshold, size)
 
-    totals = sum(_map_images(work, len(dataset), threads), np.zeros(shape, dtype=np.int64))
+    totals = sum(_map_images(work, len(dataset), threads), np.zeros((len(configs), 3 + n_levels), dtype=np.int64))
     return [MatchCensus(int(t[0]), int(t[1]), int(t[2]), t[3:]) for t in totals]
 
 
@@ -163,9 +254,9 @@ def dataset_census(
 
     Requires a strictly positive IoU threshold (zero-overlap anchors are
     outside every candidate window). Invalid and degenerate faces are
-    excluded before matching. `threads` > 1 maps images on a thread pool, no
-    faster since the census is small numpy calls under the interpreter lock;
-    it stays because acceptance criterion 9 passes it.
+    excluded before matching. `threads` > 1 maps images on a thread pool,
+    which is no faster: each image's census is a few passes of numpy calls
+    on small arrays, mostly under the interpreter lock.
     """
     return _census(dataset, [config], iou_threshold, image_sizes, threads)[0]
 

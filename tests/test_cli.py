@@ -1,13 +1,17 @@
 import json
+import os
 import platform
 import resource
+import subprocess
 import sys
 import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hambox
 from hambox.cli import main
 from hambox.ingest import load_wider_annotations
 
@@ -384,6 +388,42 @@ def test_zero_valid_faces_exit_1_for_every_reader(tmp_path, command, text):
     gt.write_text(text)
     argv = ["--out", str(tmp_path / "run"), command[0], "--annotations", str(gt)] + command[1:]
     assert main(argv) == 1
+
+
+# Faces whose coordinates float64 cannot hold exactly: both used to end in
+# an OverflowError traceback.
+HUGE_FACES = {"401-digit-x": "9" * 401 + " 10 20 20 0 0 0 0 0 0", "x-10e300": f"{10**300} 10 20 20 0 0 0 0 0 0"}
+HUGE_FACE_READERS = {"match-stats": ["match-stats"], "assign-sms": ["assign", "--strategy", "sms"]}
+
+
+@pytest.mark.parametrize("face", HUGE_FACES.values(), ids=HUGE_FACES.keys())
+@pytest.mark.parametrize("command", HUGE_FACE_READERS.values(), ids=HUGE_FACE_READERS.keys())
+def test_face_past_float_range_alone_exit_1(tmp_path, command, face):
+    gt = tmp_path / "gt.txt"
+    gt.write_text(f"big/a.jpg\n1\n{face}\n")
+    argv = ["--out", str(tmp_path / "run"), command[0], "--annotations", str(gt)] + command[1:]
+    src = str(Path(hambox.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "hambox.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "no valid faces" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("face", HUGE_FACES.values(), ids=HUGE_FACES.keys())
+def test_face_past_float_range_is_dropped(tmp_path, face):
+    lines = FIXTURE.splitlines(keepends=True)
+    # Between scene/a.jpg's two faces, so its second face keeps index 1.
+    lines[1] = "3\n"
+    lines.insert(3, face + "\n")
+    files = {"plain": FIXTURE, "huge": "".join(lines)}
+    for name, text in files.items():
+        gt = tmp_path / f"{name}.txt"
+        gt.write_text(text)
+        assert main(["--out", str(tmp_path / name / "stats"), "match-stats", "--annotations", str(gt)]) == 0
+        assert main(["--out", str(tmp_path / name / "assign"), "assign", "--annotations", str(gt)]) == 0
+    for out in ("stats/scale_curve.csv", "assign/assign.csv"):
+        assert read(tmp_path / "huge" / out) == read(tmp_path / "plain" / out)
 
 
 SEED_READERS = {

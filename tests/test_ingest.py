@@ -106,6 +106,25 @@ class TestParse:
         with pytest.raises(AnnotationParseError, match="blur"):
             parse_wider_annotations(io.StringIO(text), strict=True)
 
+    @pytest.mark.parametrize(
+        "face",
+        [f"{2**53 + 1} 20 30 40", f"10 -{2**53 + 1} 30 40", f"{2**53 - 10} 20 11 40", "10 20 30 " + "9" * 401],
+        ids=["x", "negative-y", "x-plus-w", "401-digit-h"],
+    )
+    def test_coordinate_past_2_53_is_malformed(self, face, caplog):
+        text = f"img/a.jpg\n2\n{face} 0 0 0 0 0 0\n10 20 30 40 0 0 0 0 0 0\n"
+        with pytest.raises(AnnotationParseError, match="line 3: face coordinate"):
+            parse_wider_annotations(io.StringIO(text), strict=True)
+        with caplog.at_level("WARNING"):
+            records = parse_wider_annotations(io.StringIO(text), strict=False)
+        assert [f.box for f in records[0].faces] == [Box(10, 20, 40, 60)]
+        assert "skipped 1 malformed entries" in caplog.text
+
+    def test_coordinate_at_2_53_is_kept(self):
+        text = f"img/a.jpg\n1\n{2**53 - 30} -{2**53} 30 40 0 0 0 0 0 0\n"
+        records = parse_wider_annotations(io.StringIO(text), strict=True)
+        assert records[0].faces[0].box == Box(2**53 - 30, -(2**53), 2**53, 40 - 2**53)
+
     def test_record_count_equals_block_count(self):
         records = parse_wider_annotations(io.StringIO(CANONICAL), strict=True)
         assert len(records) == CANONICAL.count(".jpg")

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections.abc import Sequence
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from hambox.anchors import AnchorConfig, AnchorGrid, cover_image_size, generate_anchors
 from hambox.assignment import MatchParams, match_first_step
 from hambox.geometry import Box
-from hambox.ingest import FaceAnnotation, ImageRecord
+from hambox import stats
+from hambox.ingest import FaceAnnotation, ImageRecord, filter_valid
 from hambox.mining import compute_quality
 from hambox.stats import (
     EmptyDatasetError,
+    _census_tally,
     _image_census,
     combine_reports,
     dataset_census,
@@ -117,7 +120,7 @@ class TestDatasetCensus:
 
 
 @st.composite
-def census_case(draw):
+def census_case(draw, min_faces=1):
     """A random pyramid, non-square faces, an image extent that may clip the
     anchor windows, and a threshold in (0, 1]."""
     n_levels = draw(st.integers(1, 6))
@@ -135,9 +138,9 @@ def census_case(draw):
     faces = np.array(
         [
             (x, y, x + draw(st.floats(1.0, 80.0)), y + draw(st.floats(1.0, 80.0)))
-            for x, y in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
+            for x, y in draw(st.lists(st.tuples(coord, coord), min_size=min_faces, max_size=8))
         ]
-    )
+    ).reshape(-1, 4)
     cover_w, cover_h = cover_image_size(faces, config)
     size = (draw(st.integers(1, cover_w)), draw(st.integers(1, cover_h)))
     threshold = draw(st.floats(0.0, 1.0, exclude_min=True))
@@ -156,6 +159,79 @@ def test_image_census_equals_dense_first_step(case):
     pos = a.face_of >= 0
     dense_hit[a.face_of[pos], grid.level_of[pos]] = True
     np.testing.assert_array_equal(level_hit, dense_hit)
+
+
+@st.composite
+def sweep_case(draw):
+    """A census case, possibly without faces or a fixed extent, under 1 to 12 scale ratios."""
+    faces, config, size, threshold = draw(census_case(min_faces=0))
+    ratios = draw(st.lists(st.floats(0.3, 1.5), min_size=1, max_size=12))
+    return faces, [config.with_scale_ratio(r) for r in ratios], draw(st.none() | st.just(size)), threshold
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7, 100])
+@settings(max_examples=40, deadline=None)
+@given(case=sweep_case())
+def test_census_tally_equals_per_config_kernel_and_dense(budget, case):
+    """Every config's tally row is what `_image_census` and the dense matcher
+    give for that config alone, also when passes split at every config."""
+    faces, configs, size, threshold = case
+    sizes = np.array([c._sizes for c in configs])
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(stats, "_PASS_CELLS", budget)
+        tally = _census_tally(faces, sizes, threshold, size)
+    for row, config in zip(tally, configs):
+        counts, level_hit = _image_census(faces, config, threshold, size)
+        want = [faces.shape[0], np.count_nonzero(counts), counts.sum(), *level_hit.sum(axis=0)]
+        assert row.tolist() == want
+        grid = generate_anchors(config, *(size or cover_image_size(faces, config)))
+        a = match_first_step(grid, faces, MatchParams(iou_threshold=threshold))
+        np.testing.assert_array_equal(counts, a.matched_count)
+        dense_hit = np.zeros_like(level_hit)
+        pos = a.face_of >= 0
+        dense_hit[a.face_of[pos], grid.level_of[pos]] = True
+        np.testing.assert_array_equal(level_hit, dense_hit)
+
+
+def test_sweep_memory_flat_in_ratio_count():
+    """The census keeps O(one pass) of work arrays, however many ratios it sweeps."""
+    rng = np.random.default_rng(1)
+    side = rng.uniform(4.0, 20.0, size=(200, 2))
+    corner = rng.uniform(0.0, 1.0, size=(200, 2)) * ([360.0, 280.0] - side)
+    crowd = record(np.round(np.hstack([corner, corner + side])).tolist(), path="crowd.jpg")
+    config = AnchorConfig(levels=((4, 16), (8, 32), (16, 64), (32, 128), (64, 256), (128, 512)))
+    peaks = []
+    for n in (20, 2000):
+        ratios = np.linspace(0.4, 1.0, n).tolist()
+        tracemalloc.start()
+        try:
+            scale_ratio_sweep([crowd], config, ratios, 0.35)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 4 * 2**20, peaks
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-50.0, 50.0),
+            st.floats(-50.0, 50.0),
+            st.sampled_from([-3.0, 0.0, 0.5, 7.0]),
+            st.sampled_from([-1.0, 0.0, 2.0, 9.5]),
+            st.sampled_from([0, 1]),
+        ),
+        max_size=8,
+    )
+)
+def test_valid_face_boxes_equals_filter_valid(faces):
+    rec = record([(x, y, x + w, y + h) for x, y, w, h, _ in faces], invalid=[inv for *_, inv in faces])
+    want = filter_valid([rec])[0].face_boxes()
+    got = valid_face_boxes(rec)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
 
 
 class CountingRecords(Sequence):

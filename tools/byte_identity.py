@@ -54,6 +54,7 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     census = inputs.census_images(3)
     small = gt("small_gt.txt", census[:8])
     braces = gt("braces_gt.txt", [replace(im, path=f"odd/{{x}}%d/{i}}}{{.jpg") for i, im in enumerate(census[8:14])])
+    crowd = gt("crowd_gt.txt", inputs.crowd_images(1))
     grid_ini = ini("grid.ini", "[anchors]\nstrides = 16, 32\nbase_scales = 40, 80\nscale_ratio = 1.0\n")
     noisy_ini = ini("noisy.ini", "[simulator]\nnoise_sigma = 0.05\nq = 0.8\n[compensation]\nk = 5\n")
     min_side_ini = ini("min_side.ini", "[data]\nmin_side = 6\n")
@@ -62,6 +63,9 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     # Every anchor scores alike, so the provenance NMS reads boxes that meet no face.
     flat_ini = ini("flat.ini", "[anchors]\nstrides = 16, 32\nbase_scales = 40, 80\n"
                    "[simulator]\nnoise_sigma = 0.3\nscore_scale = 0\n")
+
+    tall_ini = ini("tall.ini", "[anchors]\nstrides = 6, 12, 24, 48\nbase_scales = 20, 44, 90, 170\n"
+                   "aspect_ratio = 1.3\n[match]\niou_threshold = 0.6\n")
 
     runs = [
         ("anchors-640", ["anchors"]),
@@ -72,6 +76,9 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
         ("match-stats-sweep", ["--threads", "2", "match-stats", "--annotations", small, "--ratios", "0.3:1.2:0.1"]),
         ("match-stats-min-side", ["--config", min_side_ini, "match-stats", "--annotations", small,
                                   "--ratios", "0.5:0.9:0.2"]),
+        # The crowd-assign file at 301 ratios: its 150- and 200-face images take several census passes each.
+        ("match-stats-crowd-fine", ["match-stats", "--annotations", crowd, "--ratios", "0.4:1.0:0.002"]),
+        ("match-stats-tall", ["--config", tall_ini, "match-stats", "--annotations", small, "--ratios", "0.5:1.5:0.25"]),
         ("match-stats-bad-ratio", ["match-stats", "--annotations", small, "--ratios", "1:0:1"]),
         ("simulate-synthetic", ["--seed", "4", "simulate", "--synthetic-images", "3", "--iters", "3", "--provenance"]),
         ("simulate-threads", ["--seed", "4", "--threads", "2", "simulate", "--synthetic-images", "3", "--iters", "2"]),
