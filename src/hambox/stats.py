@@ -132,20 +132,22 @@ def _windows(faces: np.ndarray, layers: tuple[np.ndarray, ...], iou_threshold: f
     return fi, li, row_lo, row_hi, col_lo, col_hi
 
 
+def _overlap(cell, stride, half, lo, hi):
+    """Overlap of [lo, hi] with each anchor's extent on one axis, clamped at 0."""
+    center = cell * stride + stride / 2.0
+    return np.maximum(np.minimum(center + half, hi) - np.maximum(center - half, lo), 0.0)
+
+
 def _positives(
     faces: np.ndarray, layers: tuple[np.ndarray, ...], windows: tuple[np.ndarray, ...], iou_threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Face and layer of every anchor in `windows` that is a first-step positive."""
     strides, aw, ah, _, cols, start = layers
     face, layer, rr, cc, anchor = _expand_windows(*windows, cols, start)
-    stride, hw, hh = strides[layer], aw[layer] / 2.0, ah[layer] / 2.0
-    cx = cc.astype(np.float64) * stride + stride / 2.0
-    cy = rr.astype(np.float64) * stride + stride / 2.0
-    fb = faces[face]
-    iw = np.minimum(cx + hw, fb[:, 2]) - np.maximum(cx - hw, fb[:, 0])
-    ih = np.minimum(cy + hh, fb[:, 3]) - np.maximum(cy - hh, fb[:, 1])
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    union = aw[layer] * ah[layer] + (fb[:, 2] - fb[:, 0]) * (fb[:, 3] - fb[:, 1]) - inter
+    stride = strides[layer]
+    inter = _overlap(cc, stride, aw[layer] / 2.0, faces[face, 0], faces[face, 2])
+    inter *= _overlap(rr, stride, ah[layer] / 2.0, faces[face, 1], faces[face, 3])
+    union = (aw * ah)[layer] + ((faces[:, 2] - faces[:, 0]) * (faces[:, 3] - faces[:, 1]))[face] - inter
     iou = np.where(union > 0.0, inter / union, 0.0)
     # An anchor is positive only when its best IoU clears the threshold, and
     # then every face tied for best clears it too. Pairs below it can never
