@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hambox import stats
 from hambox.anchors import AnchorConfig, AnchorGrid, cover_image_size, generate_anchors
 from hambox.assignment import MatchParams, match_first_step
 from hambox.geometry import Box
-from hambox import stats
 from hambox.ingest import FaceAnnotation, ImageRecord, filter_valid
 from hambox.mining import compute_quality
 from hambox.stats import (
