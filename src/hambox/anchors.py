@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -14,6 +14,7 @@ from .geometry import Box, Overlaps, _scored, as_box_array, overlaps
 DEFAULT_STRIDES = (4, 8, 16, 32, 64, 128)
 DEFAULT_BASE_SCALES = (16, 32, 64, 128, 256, 512)
 DEFAULT_SCALE_RATIO = 0.68
+INT64_MAX = 2**63 - 1  # anchor indices and per-face budgets are int64
 
 
 @dataclass(frozen=True)
@@ -63,28 +64,88 @@ class AnchorConfig:
         return float((strides + aw / 2.0).max()), float((strides + ah / 2.0).max())
 
 
-@dataclass(frozen=True)
+class _PerAnchor:
+    """A per-anchor array field of `AnchorGrid`.
+
+    A hand-built grid is given the array. A lattice grid is given None and
+    builds the array from its layout the first time it is read, so a grid
+    that is only searched by index never holds it.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, grid, owner=None):
+        if grid is None:
+            raise AttributeError(self.name)  # no class-level default: the field is required
+        value = grid.__dict__[self.name]
+        if value is None:
+            value = grid.__dict__[self.name] = getattr(grid, f"_build_{self.name}")()
+        return value
+
+    def __set__(self, grid, value) -> None:
+        grid.__dict__[self.name] = value
+
+
+@dataclass(frozen=True, repr=False)  # a generated repr would build the per-anchor arrays
 class AnchorGrid:
     """All anchors tiled over an image, with per-anchor level and cell provenance.
 
-    `lattice` marks a grid laid out by `generate_anchors`, whose anchors
-    `grid_overlaps` can find from the config and image size alone.
+    `lattice` marks a grid laid out by `generate_anchors`. Its anchors are
+    known from the config and image size alone: `boxes_at` and `levels_at`
+    compute them from their indices, `grid_overlaps` finds them by window,
+    and `boxes`, `level_of` and `cell_of` are built only when first read.
     """
 
-    boxes: np.ndarray = field(repr=False)  # (N, 4) float64
-    level_of: np.ndarray = field(repr=False)  # (N,) int32
-    cell_of: np.ndarray = field(repr=False)  # (N, 2) int32, (row, col)
+    boxes: np.ndarray = _PerAnchor()  # (N, 4) float64
+    level_of: np.ndarray = _PerAnchor()  # (N,) int32
+    cell_of: np.ndarray = _PerAnchor()  # (N, 2) int32, (row, col)
     config: AnchorConfig
     image_size: tuple[int, int]  # (width, height)
     lattice: bool = False
 
     def __len__(self) -> int:
+        if self.lattice:
+            *_, rows, cols, start = self._layout
+            return int(start[-1] + rows[-1] * cols[-1])
         return self.boxes.shape[0]
 
     @cached_property
     def _layout(self) -> tuple[np.ndarray, ...]:
         """`_lattice` of this grid's config and image size, computed once."""
         return _lattice(self.config, *self.image_size)
+
+    def levels_at(self, anchor: np.ndarray) -> np.ndarray:
+        """The pyramid level of each anchor index."""
+        if not self.lattice:
+            return self.level_of[anchor]
+        return np.searchsorted(self._layout[5], anchor, side="right") - 1
+
+    def boxes_at(self, anchor: np.ndarray) -> np.ndarray:
+        """The (n, 4) boxes of the given anchor indices, bit-equal to those rows of `boxes`."""
+        if not self.lattice:
+            return self.boxes[anchor]
+        *_, cols, start = self._layout
+        level = self.levels_at(anchor)
+        row, col = np.divmod(anchor - start[level], cols[level])
+        return _cell_boxes(self._layout, level, row, col)
+
+    def _build_boxes(self) -> np.ndarray:
+        boxes = np.empty((len(self), 4))
+        for level, (r, c, i) in enumerate(zip(*self._layout[3:])):
+            boxes[i : i + r * c] = _cell_boxes(self._layout, level, np.arange(r)[:, None], np.arange(c)).reshape(-1, 4)
+        return boxes
+
+    def _build_level_of(self) -> np.ndarray:
+        *_, rows, cols, _ = self._layout
+        return np.repeat(np.arange(rows.size, dtype=np.int32), rows * cols)
+
+    def _build_cell_of(self) -> np.ndarray:
+        cells = np.empty((len(self), 2), dtype=np.int32)
+        for r, c, i in zip(*self._layout[3:]):
+            cell = cells[i : i + r * c].reshape(r, c, 2)
+            cell[..., 0], cell[..., 1] = np.arange(r)[:, None], np.arange(c)
+        return cells
 
 
 def grid_shape(stride: float, image_w: float, image_h: float) -> tuple[int, int]:
@@ -93,9 +154,42 @@ def grid_shape(stride: float, image_w: float, image_h: float) -> tuple[int, int]
 
 
 def _lattice(config: AnchorConfig, image_w: float, image_h: float) -> tuple[np.ndarray, ...]:
-    """Per-level strides, anchor widths and heights, lattice rows and cols, and first anchor index."""
-    rows, cols = np.array([grid_shape(s, image_w, image_h) for s, _ in config.levels], dtype=np.int64).T
+    """Per-level strides, anchor widths and heights, lattice rows and cols, and first anchor index.
+
+    Raises ValueError when the grid holds more anchors than an int64 index
+    can name.
+    """
+    rows, cols = zip(*(grid_shape(s, image_w, image_h) for s, _ in config.levels))
+    _check_anchor_count(rows, cols, image_w, image_h)
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
     return *config._sizes, rows, cols, np.cumsum(rows * cols) - rows * cols
+
+
+def _check_anchor_count(rows, cols, image_w, image_h) -> None:
+    """Raise ValueError when lattice layers of these rows and cols hold more anchors than an int64 index can name.
+
+    The count is exact: `rows` and `cols` are integer-valued and summed as
+    Python ints.
+    """
+    n = sum(int(r) * int(c) for r, c in zip(rows, cols))
+    if n > INT64_MAX:
+        raise ValueError(f"an anchor grid of {image_w}x{image_h} px holds {n} anchors, more than an int64 index can name")
+
+
+def _cell_boxes(layout: tuple[np.ndarray, ...], level, row, col) -> np.ndarray:
+    """Boxes (..., 4) of the anchors at lattice cells (level, row, col) of `layout`, a `_lattice`.
+
+    A center is (col, row) * stride + stride / 2 and a box is center +/-
+    side / 2. Arguments broadcast, and each coordinate is the same
+    elementwise arithmetic whatever their shapes, so any subset of anchors
+    comes out bit-equal to the whole grid.
+    """
+    strides, aw, ah = layout[:3]
+    s, s2, hw, hh = strides[level], (strides / 2.0)[level], (aw / 2.0)[level], (ah / 2.0)[level]
+    cx, cy = col * s + s2, row * s + s2
+    out = np.empty(np.broadcast_shapes(cx.shape, cy.shape) + (4,))
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = cx - hw, cy - hh, cx + hw, cy + hh
+    return out
 
 
 def generate_anchors(config: AnchorConfig, image_w: float, image_h: float) -> AnchorGrid:
@@ -103,22 +197,15 @@ def generate_anchors(config: AnchorConfig, image_w: float, image_h: float) -> An
 
     Centers sit at (col*stride + stride/2, row*stride + stride/2); boxes are
     center +/- side/2 and are not clipped to the image. Ordering is levels in
-    config order, then row-major cells.
+    config order, then row-major cells. The grid's per-anchor arrays are
+    built when first read; a grid whose anchor count does not fit int64
+    raises ValueError here.
     """
     if image_w <= 0 or image_h <= 0:
         raise ValueError(f"image size must be positive, got {image_w}x{image_h}")
-    strides, aw, ah, rows, cols, start = _lattice(config, image_w, image_h)
-    n = int((rows * cols).sum())
-    boxes = np.empty((n, 4))
-    cells = np.empty((n, 2), dtype=np.int32)
-    for s, w, h, r, c, i in zip(strides, aw, ah, rows, cols, start):
-        cx = np.arange(c, dtype=np.float64) * s + s / 2.0
-        cy = (np.arange(r, dtype=np.float64) * s + s / 2.0)[:, None]
-        box, cell = boxes[i : i + r * c].reshape(r, c, 4), cells[i : i + r * c].reshape(r, c, 2)
-        box[..., 0], box[..., 1], box[..., 2], box[..., 3] = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
-        cell[..., 0], cell[..., 1] = np.arange(r)[:, None], np.arange(c)
-    level_of = np.repeat(np.arange(strides.size, dtype=np.int32), rows * cols)
-    return AnchorGrid(boxes, level_of, cells, config, (image_w, image_h), lattice=True)
+    grid = AnchorGrid(None, None, None, config, (image_w, image_h), lattice=True)
+    grid._layout  # noqa: B018  checks the anchor count
+    return grid
 
 
 def _expand_windows(face, level, row_lo, row_hi, col_lo, col_hi, cols, start):
@@ -139,8 +226,8 @@ def _expand_windows(face, level, row_lo, row_hi, col_lo, col_hi, cols, start):
 
 def _window_candidates(
     grid: AnchorGrid, faces: np.ndarray, reach: np.ndarray | None = None, limit: int | None = None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(face, anchor) for every anchor of a lattice grid that can meet a valid face.
+) -> tuple[np.ndarray, ...] | None:
+    """Face, level, row, col and anchor index of every anchor of a lattice grid that can meet a valid face.
 
     Each valid face spans, on each level, a window of cells whose anchors
     can meet it. `reach`, an (L, 2) array, lets every x coordinate of a
@@ -170,23 +257,37 @@ def _window_candidates(
     row_lo, row_hi = window(f[:, 1], f[:, 3], half_h[level], rows[level])
     if limit is not None and np.sum(np.maximum(col_hi - col_lo + 1, 0) * np.maximum(row_hi - row_lo + 1, 0)) > limit:
         return None
-    face, _, _, _, anchor = _expand_windows(face, level, row_lo, row_hi, col_lo, col_hi, cols, start)
-    return face, anchor
+    return _expand_windows(face, level, row_lo, row_hi, col_lo, col_hi, cols, start)
 
 
 def grid_overlaps(grid: AnchorGrid, faces: Sequence[Box] | np.ndarray) -> Overlaps:
     """``overlaps(grid.boxes, faces)``, reading only anchors a face can reach.
 
     On a lattice grid only the `_window_candidates` of the faces are scored,
-    so work is O(faces x levels + candidates) rather than O(anchors). Rows,
-    order and IoUs are those of `overlaps`. Other grids go through
-    `overlaps`.
+    and their boxes come from their indices, so work is O(faces x levels +
+    candidates) rather than O(anchors). Rows, order and IoUs are those of
+    `overlaps`. Other grids go through `overlaps`.
     """
     faces = as_box_array(faces)
     if not grid.lattice:
         return overlaps(grid.boxes, faces)
-    face, anchor = _window_candidates(grid, faces)
-    return _scored(grid.boxes, faces, anchor, face)
+    face, level, row, col, anchor = _window_candidates(grid, faces)
+    return _scored(_cell_boxes(grid._layout, level, row, col), faces, anchor, face)
+
+
+def _pair_rows(grid: AnchorGrid, faces: Sequence[Box] | np.ndarray) -> tuple[np.ndarray, np.ndarray, Overlaps]:
+    """`grid_overlaps` on its own rows: one row per anchor that meets a face.
+
+    Returns the rows' anchor indices (ascending), their (R, 4) boxes, and
+    the pair list with each anchor index replaced by its row. Rows keep the
+    anchors' order, so a rule that breaks ties by the lower anchor gives the
+    same result on rows as on the whole grid. On a lattice grid, work and
+    memory are O(faces x levels + pairs), whatever the grid's size.
+    """
+    pairs = grid_overlaps(grid, faces)
+    head = pairs.heads()
+    anchors = pairs.box[head]
+    return anchors, grid.boxes_at(anchors), Overlaps(np.cumsum(head) - 1, pairs.face, pairs.iou)
 
 
 def cover_image_size(face_boxes: np.ndarray, config: AnchorConfig) -> tuple[int, int]:

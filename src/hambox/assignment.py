@@ -12,7 +12,10 @@ Three strategies are provided:
 Both second steps, and the online compensation in ``mining``, are one claim
 rule (`claim_best`) with a different pair list, budget and floor. Every step
 reads a sparse pair list (``anchors.grid_overlaps`` for the anchors), never an
-anchors x faces matrix. All tie-breaks are by ascending index so results are deterministic.
+anchors x faces matrix, and keeps its state on rows: the public matchers
+make every anchor of the grid a row, and ``assign`` only the anchors in the
+pair list (``anchors._pair_rows``). All tie-breaks are by ascending index so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchors import AnchorGrid, grid_overlaps
+from .anchors import INT64_MAX, AnchorGrid, grid_overlaps
 from .geometry import Box, Overlaps, as_box_array, encode_boxes
 
 # Per-anchor provenance codes.
@@ -39,7 +42,6 @@ SOURCE_NAMES = {
 }
 
 BACKGROUND = -1
-INT64_MAX = 2**63 - 1  # per-face budgets are int64
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,11 @@ class MatchParams:
 
 @dataclass
 class Assignment:
-    """Per-anchor labels and regression targets for one image.
+    """Labels and regression targets of a set of anchors, its rows.
+
+    The public matchers give one row per anchor of the grid. The row core
+    (`first_step_from_overlaps`, `claim_best`) works on whatever rows its
+    pair list indexes, such as only the anchors that meet a face.
 
     `face_of[i]` is the matched face index or -1 for background. `targets`
     rows are encoded deltas for positives and NaN elsewhere. `source` carries
@@ -103,15 +109,17 @@ class Assignment:
 
 
 def first_step_from_overlaps(
-    grid: AnchorGrid, faces: np.ndarray, pairs: Overlaps, params: MatchParams
+    boxes: np.ndarray, faces: np.ndarray, pairs: Overlaps, params: MatchParams
 ) -> Assignment:
-    """First matching step on the anchor-by-face pair list.
+    """First matching step on a row-by-face pair list.
 
-    `faces` is the (F, 4) box array and `pairs` is ``grid_overlaps(grid,
-    faces)``; callers that need the pairs again compute them once and share
-    them. An anchor in no pair has IoU 0, below every allowed threshold.
+    `boxes` (R, 4) holds the anchor box of each row, `faces` is the (F, 4)
+    box array, and `pairs` lists every (row, face) pair with IoU > 0, as
+    `grid_overlaps` or `_pair_rows` give it; callers that need the pairs
+    again compute them once and share them. A row in no pair has IoU 0,
+    below every allowed threshold.
     """
-    n = len(grid)
+    n = boxes.shape[0]
     face_of = np.full(n, BACKGROUND, dtype=np.int64)
     targets = np.full((n, 4), np.nan)
     source = np.full(n, SOURCE_NONE, dtype=np.uint8)
@@ -120,17 +128,47 @@ def first_step_from_overlaps(
     anchors, owners = best.box[pos], best.face[pos]
     face_of[anchors] = owners
     source[anchors] = SOURCE_STEP1
-    targets[anchors] = encode_boxes(grid.boxes[anchors], faces[owners])
+    targets[anchors] = encode_boxes(boxes[anchors], faces[owners])
     matched = np.bincount(owners, minlength=faces.shape[0]).astype(np.int64)
     return Assignment(face_of, targets, source, matched)
+
+
+def _two_step(boxes: np.ndarray, faces: np.ndarray, pairs: Overlaps, params: MatchParams) -> Assignment:
+    """`match_two_step` on rows, as `first_step_from_overlaps` takes them."""
+    assignment = first_step_from_overlaps(boxes, faces, pairs, params)
+    budget = (assignment.matched_count == 0).astype(np.int64)
+    claim_best(assignment, boxes, faces, pairs, budget, 0.0, SOURCE_STEP2)
+    return assignment
+
+
+def _nams(boxes: np.ndarray, faces: np.ndarray, pairs: Overlaps, params: MatchParams) -> Assignment:
+    """`match_nams` on rows, as `first_step_from_overlaps` takes them."""
+    assignment = first_step_from_overlaps(boxes, faces, pairs, params)
+    if isinstance(params.nams_top_n_mode, str):
+        counts = assignment.matched_count[assignment.matched_count > 0]
+        top_n = max(1, int(np.floor(counts.mean()))) if counts.size else 1
+    else:
+        top_n = int(params.nams_top_n_mode)
+    budget = np.where(assignment.matched_count == 0, top_n, 0)
+    claim_best(assignment, boxes, faces, pairs, budget, params.nams_stage2_floor, SOURCE_STEP2)
+    return assignment
+
+
+# The baseline strategies' rules on rows, by CLI name.
+_ROW_MATCHERS = {"sms": first_step_from_overlaps, "dms": _two_step, "nams": _nams}
+
+
+def _on_grid(rule, grid: AnchorGrid, faces: Sequence[Box] | np.ndarray, params: MatchParams) -> Assignment:
+    """`rule` with every anchor of the grid as a row."""
+    faces = as_box_array(faces)
+    return rule(grid.boxes, faces, grid_overlaps(grid, faces), params)
 
 
 def match_first_step(
     grid: AnchorGrid, faces: Sequence[Box] | np.ndarray, params: MatchParams
 ) -> Assignment:
     """Assign each anchor to its maximum-IoU face when that IoU >= the threshold."""
-    faces = as_box_array(faces)
-    return first_step_from_overlaps(grid, faces, grid_overlaps(grid, faces), params)
+    return _on_grid(first_step_from_overlaps, grid, faces, params)
 
 
 def match_two_step(
@@ -142,12 +180,7 @@ def match_two_step(
     IoU threshold but requires a strictly positive IoU. Claimed anchors are
     unavailable to later faces.
     """
-    faces = as_box_array(faces)
-    pairs = grid_overlaps(grid, faces)
-    assignment = first_step_from_overlaps(grid, faces, pairs, params)
-    budget = (assignment.matched_count == 0).astype(np.int64)
-    claim_best(assignment, grid, faces, pairs, budget, 0.0, SOURCE_STEP2)
-    return assignment
+    return _on_grid(_two_step, grid, faces, params)
 
 
 def match_nams(
@@ -159,34 +192,26 @@ def match_nams(
     `params.nams_stage2_floor` and are ranked by IoU descending with
     ascending-index tie-break.
     """
-    faces = as_box_array(faces)
-    pairs = grid_overlaps(grid, faces)
-    assignment = first_step_from_overlaps(grid, faces, pairs, params)
-    if isinstance(params.nams_top_n_mode, str):
-        counts = assignment.matched_count[assignment.matched_count > 0]
-        top_n = max(1, int(np.floor(counts.mean()))) if counts.size else 1
-    else:
-        top_n = int(params.nams_top_n_mode)
-    budget = np.where(assignment.matched_count == 0, top_n, 0)
-    claim_best(assignment, grid, faces, pairs, budget, params.nams_stage2_floor, SOURCE_STEP2)
-    return assignment
+    return _on_grid(_nams, grid, faces, params)
 
 
 def claim_best(
     assignment: Assignment,
-    grid: AnchorGrid,
+    boxes: np.ndarray,
     faces: np.ndarray,
     pairs: Overlaps,
     budget: np.ndarray,
     floor: float,
     source: int,
 ) -> None:
-    """Let each face claim up to `budget[f]` background anchors, in place.
+    """Let each face claim up to `budget[f]` background rows, in place.
 
-    Faces go in annotation order, so a claimed anchor is gone for later
-    faces. A candidate is a pair of `pairs` with IoU strictly above `floor`;
-    candidates go by IoU descending, the lower anchor index first on ties.
-    Claimed anchors get `source` and a target encoded against their face.
+    `boxes` holds each row's anchor box, and `pairs` indexes the same rows
+    as `assignment`. Faces go in annotation order, so a claimed row is gone
+    for later faces. A candidate is a pair of `pairs` with IoU strictly
+    above `floor`; candidates go by IoU descending, the lower row (so the
+    lower anchor index) first on ties. Claimed rows get `source` and a
+    target encoded against their face.
     """
     background = assignment.face_of == BACKGROUND
     cand = (pairs.iou > floor) & (budget[pairs.face] > 0) & background[pairs.box]
@@ -205,4 +230,4 @@ def claim_best(
     if claimed:
         claimed = np.concatenate(claimed)
         assignment.source[claimed] = source
-        assignment.targets[claimed] = encode_boxes(grid.boxes[claimed], faces[assignment.face_of[claimed]])
+        assignment.targets[claimed] = encode_boxes(boxes[claimed], faces[assignment.face_of[claimed]])

@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import math
+import string
 import sys
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -24,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .anchors import cover_image_size, generate_anchors
-from .assignment import SOURCE_NAMES, SOURCE_STEP1, match_first_step, match_nams, match_two_step
+from .anchors import _pair_rows, cover_image_size, generate_anchors, grid_overlaps
+from .assignment import _ROW_MATCHERS, SOURCE_NAMES, SOURCE_STEP1
 from .geometry import elementwise_iou
 from .ingest import (
     STRATEGIES,
@@ -40,7 +41,7 @@ from .ingest import (
     load_wider_annotations,
 )
 from .losses import gradient_check
-from .simulator import RegressorModel, linear_ramp, mine_image, run_simulation, synthetic_dataset
+from .simulator import RegressorModel, _mine_rows, linear_ramp, run_simulation, synthetic_dataset
 from .stats import EmptyDatasetError, provenance_csv, scale_ratio_sweep
 
 EXIT_OK = 0
@@ -77,8 +78,28 @@ def _keep_freed_heap() -> None:
 
 
 def _rows(template: str, *columns) -> str:
-    """One line per row: `template` filled with that row's entry of every column."""
-    return "".join(map((template + "\n").format, *(np.asarray(c).tolist() for c in columns)))
+    """One line per row: `template` filled with that row's entry of every column.
+
+    Each column formats each distinct value once (a float per bit pattern,
+    so -0.0 keeps its sign) and indexes the strings. The lines are then
+    joined from the literals and column strings, with no format call per
+    row.
+    """
+    slots, cols = [], iter(columns)
+    for text, name, spec, _ in string.Formatter().parse(template + "\n"):
+        if text:
+            slots.append(text)
+        if name is None:
+            continue
+        col = np.asarray(next(cols))
+        key = col.view(np.int64) if col.dtype == np.float64 else col
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        slots.append(np.array([format(v, spec) for v in col[first].tolist()], dtype=object)[inverse].tolist())
+    n = max((len(slot) for slot in slots if isinstance(slot, list)), default=0)
+    parts = [""] * (n * len(slots))
+    for i, slot in enumerate(slots):
+        parts[i :: len(slots)] = slot if isinstance(slot, list) else [slot] * n
+    return "".join(parts)
 
 
 def _emit(out: str, cfg: ToolConfig, texts: dict[str, str]) -> int:
@@ -151,39 +172,46 @@ _SOURCE_LABELS = np.array([SOURCE_NAMES[code] for code in sorted(SOURCE_NAMES)])
 
 
 def _assign_image(record: ImageRecord, cfg: ToolConfig, stream: int) -> str:
-    """The image's `assign.csv` rows: its positives, then (hambox) its ignored anchors."""
+    """The image's `assign.csv` rows: its positives, then (hambox) its ignored anchors.
+
+    The rows of the work are the anchors that meet a face (`_pair_rows`), so
+    nothing of the grid's size is built, except for hambox with noise: the
+    noise is drawn for every anchor, so every anchor is a row.
+    """
     faces = record.face_boxes()
     grid = generate_anchors(cfg.anchors, *cover_image_size(faces, cfg.anchors))
+    sim = cfg.simulator
+    if cfg.strategy == "hambox" and sim.noise_sigma > 0.0:
+        anchors, boxes, pairs = np.arange(len(grid)), grid.boxes, grid_overlaps(grid, faces)
+    else:
+        anchors, boxes, pairs = _pair_rows(grid, faces)
     mined = None
-    if cfg.strategy == "sms":
-        assignment = match_first_step(grid, faces, cfg.match)
-    elif cfg.strategy == "dms":
-        assignment = match_two_step(grid, faces, cfg.match)
-    elif cfg.strategy == "nams":
-        assignment = match_nams(grid, faces, cfg.match)
-    else:  # hambox: compensation against simulated predictions
-        sim = cfg.simulator
+    if cfg.strategy == "hambox":  # compensation against simulated predictions
         model = RegressorModel(q=sim.q, noise_sigma=sim.noise_sigma, seed=sim.seed)
-        mined = next(mine_image(grid, faces, model, 1, stream, cfg.match, cfg.compensation))
+        mined = next(_mine_rows(grid, boxes, faces, pairs, model, 1, stream, cfg.match, cfg.compensation))
         assignment = mined.assigned
+    else:
+        assignment = _ROW_MATCHERS[cfg.strategy](boxes, faces, pairs, cfg.match)
 
     pos = np.flatnonzero(assignment.positive)
     source = assignment.source[pos]
     face = assignment.face_of[pos]
     # A positive's IoU is that of the box that earned it: the anchor, or its
     # regressed box when compensated online.
-    boxes = grid.boxes[pos]
+    boxes = boxes[pos]
     if mined is not None:
         comp = source > SOURCE_STEP1
         boxes[comp] = mined.regressed[pos[comp]]
     path = record.path.replace("{", "{{").replace("}", "}}")
+    anchor = anchors[pos]
     text = _rows(
         path + ",{},{},positive,{},{},{:.10g}",
-        pos, grid.level_of[pos], face, _SOURCE_LABELS[source], elementwise_iou(boxes, faces[face]),
+        anchor, grid.levels_at(anchor), face, _SOURCE_LABELS[source], elementwise_iou(boxes, faces[face]),
     )
     if mined is not None:
         ign = np.flatnonzero(mined.ignore)
-        text += _rows(path + ",{},{},ignore,,none,{:.10g}", ign, grid.level_of[ign], mined.quality.F[ign])
+        anchor = anchors[ign]
+        text += _rows(path + ",{},{},ignore,,none,{:.10g}", anchor, grid.levels_at(anchor), mined.quality.F[ign])
     return text
 
 

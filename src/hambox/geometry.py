@@ -96,10 +96,15 @@ class Overlaps(NamedTuple):
     face: np.ndarray  # (P,) int64
     iou: np.ndarray  # (P,) float64
 
-    def best(self) -> "Overlaps":
-        """The first row of each box: its best face and that IoU."""
+    def heads(self) -> np.ndarray:
+        """(P,) bool: True on the first row of each box."""
         head = np.ones(self.box.size, dtype=bool)
         head[1:] = self.box[1:] != self.box[:-1]
+        return head
+
+    def best(self) -> "Overlaps":
+        """The first row of each box: its best face and that IoU."""
+        head = self.heads()
         return Overlaps(self.box[head], self.face[head], self.iou[head])
 
 
@@ -139,7 +144,8 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
         empty = np.zeros(0, dtype=np.int64)
         return Overlaps(empty, empty, np.zeros(0))
     if bi.size * fi.size <= 4 * bi.size + 9 * fi.size:
-        return _scored(boxes, faces, np.repeat(bi, fi.size), np.tile(fi, bi.size))
+        box = np.repeat(bi, fi.size)
+        return _scored(boxes.take(box, axis=0), faces, box, np.tile(fi, bi.size))
     exps = np.frexp(np.maximum(bw[bi], bh[bi]))[1]  # side < 2**exp
     present = np.bincount(exps - exps.min()) > 0
     cls_of = (np.cumsum(present) - 1)[exps - exps.min()]
@@ -202,17 +208,17 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
     at = np.arange(box.size) - np.repeat(np.cumsum(n_hit) - n_hit, n_hit)
     face = f_ids[np.repeat(f_start[key[hit]], n_hit) + at]
 
-    return _scored(boxes, faces, box, face)
+    return _scored(boxes.take(box, axis=0), faces, box, face)
 
 
-def _scored(boxes: np.ndarray, faces: np.ndarray, box: np.ndarray, face: np.ndarray) -> Overlaps:
+def _scored(b: np.ndarray, faces: np.ndarray, box: np.ndarray, face: np.ndarray) -> Overlaps:
     """The candidate pairs with IoU > 0, by `pairwise_iou`'s arithmetic, in `Overlaps` order.
 
-    Each (box, face) candidate appears once, and the candidates of a box
-    that tie on IoU come in ascending face order, so the lower face stays
-    first.
+    `b[i]` is the box of candidate i, whose index is `box[i]`. Each (box,
+    face) candidate appears once, and the candidates of a box that tie on
+    IoU come in ascending face order, so the lower face stays first.
     """
-    b, f = boxes.take(box, axis=0), faces.take(face, axis=0)
+    f = faces.take(face, axis=0)
     iw = np.minimum(b[:, 2], f[:, 2]) - np.maximum(b[:, 0], f[:, 0])
     ih = np.minimum(b[:, 3], f[:, 3]) - np.maximum(b[:, 1], f[:, 1])
     meet = np.flatnonzero((iw > 0.0) & (ih > 0.0))

@@ -62,7 +62,7 @@ def compute_quality(
 
 
 def _quality(pairs: Overlaps, n: int) -> AnchorQuality:
-    """compute_quality on the regressed-by-face pair list of `n` boxes."""
+    """compute_quality on the regressed-by-face pair list of `n` boxes, or rows."""
     F = np.zeros(n)
     best = pairs.best()
     F[best.box] = best.iou
@@ -98,21 +98,21 @@ def compensate(
     if np.any(assignment.source > SOURCE_STEP1):
         raise ValueError("compensate requires a first-step-only assignment")
 
-    return _compensate(assignment, grid, faces, overlaps(regressed, faces), params)
+    return _compensate(assignment, grid.boxes, faces, overlaps(regressed, faces), params)
 
 
 def _compensate(
     assignment: Assignment,
-    grid: AnchorGrid,
+    boxes: np.ndarray,
     faces: np.ndarray,
     pairs: Overlaps,
     params: CompensationParams,
 ) -> Assignment:
-    """compensate on the regressed-by-face pair list."""
+    """compensate on rows: `boxes` are the rows' anchor boxes, `pairs` the regressed-by-face pair list."""
     out = assignment.copy()
     # Budgets use first-step counts only.
     budget = np.maximum(params.K - assignment.matched_count, 0)
-    claim_best(out, grid, faces, pairs, budget, params.T, SOURCE_HAMBOX)
+    claim_best(out, boxes, faces, pairs, budget, params.T, SOURCE_HAMBOX)
     return out
 
 

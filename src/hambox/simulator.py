@@ -223,11 +223,12 @@ def synthetic_dataset(
 class MinedIteration:
     """One iteration of the per-image mining sequence.
 
-    `regressed` holds the predicted box of every anchor that can meet a
-    face: the anchors pulled toward a face, and on a noisy lattice grid the
-    unpulled anchors inside a face's widened window. Those rows are
-    bit-equal to `simulate_regression`; every other row is NaN. An anchor
-    with a NaN row meets no face, so its F is 0 and it is never positive.
+    Every array has one row per row of the search: per anchor of the grid
+    from `mine_image`. `regressed` holds the predicted box of every row that
+    can meet a face: the rows pulled toward a face, and on a noisy lattice
+    grid the unpulled anchors inside a face's widened window. Those rows are
+    bit-equal to `simulate_regression`; every other row is NaN. A row with
+    NaN meets no face, so its F is 0 and it is never positive.
     """
 
     iteration: int
@@ -271,20 +272,41 @@ def mine_image(
     O(anchors + candidate pairs): no anchors x faces matrix is built.
     """
     faces = as_box_array(faces)
-    pairs = grid_overlaps(grid, faces)
-    first = first_step_from_overlaps(grid, faces, pairs, match)
-    ref, pulled = _pull_targets(grid.boxes, faces, pairs)
+    return _mine_rows(grid, grid.boxes, faces, grid_overlaps(grid, faces), model, n_iters, stream, match, comp)
+
+
+def _mine_rows(
+    grid: AnchorGrid,
+    boxes: np.ndarray,
+    faces: np.ndarray,
+    pairs: Overlaps,
+    model: RegressorModel,
+    n_iters: int,
+    stream: int,
+    match: MatchParams,
+    comp: CompensationParams,
+) -> Iterator[MinedIteration]:
+    """`mine_image` on rows: `boxes` are the rows' anchor boxes and `pairs` their pairs with the faces.
+
+    Without noise the rows may be only the anchors that meet a face
+    (`anchors._pair_rows`), so nothing of the grid's size is built. With
+    noise they must be every anchor of `grid`, in order, as the noise is
+    drawn per anchor.
+    """
+    first = first_step_from_overlaps(boxes, faces, pairs, match)
+    ref, pulled = _pull_targets(boxes, faces, pairs)
     moved = np.flatnonzero(pulled)
     for t in range(n_iters):
-        noise = _noise(model, t, stream, grid.boxes.shape)
-        regressed, pairs = _regressed_pairs(grid, faces, ref, pulled, moved, model.q_at(t), model.noise_sigma, noise)
-        assigned = _compensate(first, grid, faces, pairs, comp)
-        quality = _quality(pairs, len(grid))
+        noise = _noise(model, t, stream, boxes.shape)
+        regressed, pairs = _regressed_pairs(grid, boxes, faces, ref, pulled, moved, model.q_at(t), model.noise_sigma, noise)
+        assigned = _compensate(first, boxes, faces, pairs, comp)
+        quality = _quality(pairs, boxes.shape[0])
         yield MinedIteration(t, first, assigned, regressed, quality, ignore_mask(assigned, quality))
 
 
 def _regressed_pairs(
     grid: AnchorGrid,
+    boxes: np.ndarray,
     faces: np.ndarray,
     ref: np.ndarray,
     pulled: np.ndarray,
@@ -293,32 +315,37 @@ def _regressed_pairs(
     noise_sigma: float,
     noise: np.ndarray | None,
 ) -> tuple[np.ndarray, Overlaps]:
-    """One iteration's regressed boxes and their pairs with the faces, searched as `mine_image` says."""
+    """One iteration's regressed rows and their pairs with the faces, searched as `mine_image` says."""
     face, anchor = _EMPTY, _EMPTY
     if noise is not None:
         # Windows that hold more candidates than the grid has anchors cost
         # more than hashing every regressed box.
         found = None
         if grid.lattice:
-            found = _window_candidates(grid, faces, _jitter_reach(grid, noise, moved, noise_sigma), len(grid))
+            found = _window_candidates(grid, faces, _jitter_reach(grid, noise, moved, noise_sigma), len(boxes))
         if found is None:
-            regressed = _regress(grid.boxes, ref, pulled, q, noise_sigma, noise)
+            regressed = _regress(boxes, ref, pulled, q, noise_sigma, noise)
             return regressed, overlaps(regressed, faces)
-        face, anchor = found
+        face, *_, anchor = found
         keep = ~pulled[anchor]
         face, anchor = face[keep], anchor[keep]
     need = pulled.copy()
     need[anchor] = True
-    rows = np.flatnonzero(need)
-    regressed = np.full(grid.boxes.shape, np.nan)
-    row_noise = None if noise is None else noise[rows]
-    regressed[rows] = _regress(grid.boxes[rows], ref[rows], pulled[rows], q, noise_sigma, row_noise)
+    if need.all():  # as on the rows of `_pair_rows`, which all meet a face
+        regressed = _regress(boxes, ref, pulled, q, noise_sigma, noise)
+    else:
+        rows = np.flatnonzero(need)
+        regressed = np.full(boxes.shape, np.nan)
+        row_noise = None if noise is None else noise[rows]
+        regressed[rows] = _regress(boxes[rows], ref[rows], pulled[rows], q, noise_sigma, row_noise)
+    near = overlaps(regressed[moved], faces)
+    if anchor.size == 0:
+        return regressed, Overlaps(moved[near.box], near.face, near.iou)
     # A pulled box's pairs come in IoU order with ties in face order, a
     # windowed box's in face order, and no box is in both lists: one
     # `_scored` pass puts them in `overlaps` order.
-    near = overlaps(regressed[moved], faces)
     box, face = np.concatenate([moved[near.box], anchor]), np.concatenate([near.face, face])
-    return regressed, _scored(regressed, faces, box, face)
+    return regressed, _scored(regressed.take(box, axis=0), faces, box, face)
 
 
 def run_simulation(

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchors import AnchorConfig, AnchorGrid, _expand_windows
+from .anchors import AnchorConfig, AnchorGrid, _check_anchor_count, _expand_windows
 from .assignment import BACKGROUND, SOURCE_STEP1, Assignment
 from .geometry import Box, as_box_array, elementwise_iou, nms
 from .ingest import ImageRecord, _map_images
@@ -99,7 +99,9 @@ def _layers(faces: np.ndarray, sizes: np.ndarray, image_size: tuple[int, int] | 
 
     Each config's lattice covers `image_size`, or else that config's
     `cover_image_size`, computed with the same float operations. First
-    indices run on across configs, so an anchor's index names its config too.
+    indices run on across configs, so an anchor's index names its config too;
+    a block whose layers hold more anchors than int64 can index raises
+    ValueError.
     """
     strides, aw, ah = sizes.transpose(1, 0, 2)
     if image_size is not None:
@@ -108,8 +110,10 @@ def _layers(faces: np.ndarray, sizes: np.ndarray, image_size: tuple[int, int] | 
         top = faces.max(axis=0, initial=-np.inf)
         w = np.ceil(np.maximum(top[2] + (strides + aw / 2.0).max(axis=1), strides[:, -1]))
         h = np.ceil(np.maximum(top[3] + (strides + ah / 2.0).max(axis=1), strides[:, -1]))
-    rows = np.ceil(h[:, None] / strides).astype(np.int64).ravel()
-    cols = np.ceil(w[:, None] / strides).astype(np.int64).ravel()
+    rows, cols = np.ceil(h[:, None] / strides).ravel(), np.ceil(w[:, None] / strides).ravel()
+    if np.dot(rows, cols) >= 2.0**62:  # within rounding of int64's range: count exactly
+        _check_anchor_count(rows, cols, int(w.max()), int(h.max()))
+    rows, cols = rows.astype(np.int64), cols.astype(np.int64)
     return strides.ravel(), aw.ravel(), ah.ravel(), rows, cols, np.cumsum(rows * cols) - rows * cols
 
 
@@ -133,9 +137,14 @@ def _windows(faces: np.ndarray, layers: tuple[np.ndarray, ...], iou_threshold: f
 
 
 def _overlap(cell, stride, half, lo, hi):
-    """Overlap of [lo, hi] with each anchor's extent on one axis, clamped at 0."""
+    """Overlap of [lo, hi] with each anchor's extent on one axis, clamped at 0, and the extent's length.
+
+    The length is taken from the anchor's coordinates, as `pairwise_iou`
+    takes it, so IoUs and their ties are bit-equal to the dense matcher's.
+    """
     center = cell * stride + stride / 2.0
-    return np.maximum(np.minimum(center + half, hi) - np.maximum(center - half, lo), 0.0)
+    a0, a1 = center - half, center + half
+    return np.maximum(np.minimum(a1, hi) - np.maximum(a0, lo), 0.0), a1 - a0
 
 
 def _positives(
@@ -145,9 +154,11 @@ def _positives(
     strides, aw, ah, _, cols, start = layers
     face, layer, rr, cc, anchor = _expand_windows(*windows, cols, start)
     stride = strides[layer]
-    inter = _overlap(cc, stride, aw[layer] / 2.0, faces[face, 0], faces[face, 2])
-    inter *= _overlap(rr, stride, ah[layer] / 2.0, faces[face, 1], faces[face, 3])
-    union = (aw * ah)[layer] + ((faces[:, 2] - faces[:, 0]) * (faces[:, 3] - faces[:, 1]))[face] - inter
+    inter, area = _overlap(cc, stride, aw[layer] / 2.0, faces[:, 0].take(face), faces[:, 2].take(face))
+    inter_y, height = _overlap(rr, stride, ah[layer] / 2.0, faces[:, 1].take(face), faces[:, 3].take(face))
+    inter *= inter_y
+    area *= height
+    union = area + ((faces[:, 2] - faces[:, 0]) * (faces[:, 3] - faces[:, 1]))[face] - inter
     iou = np.where(union > 0.0, inter / union, 0.0)
     # An anchor is positive only when its best IoU clears the threshold, and
     # then every face tied for best clears it too. Pairs below it can never
@@ -313,11 +324,13 @@ def provenance_report(
     n_faces = faces.shape[0]
     faces_matched = int(np.count_nonzero(assignment.matched_count > 0)) if n_faces else 0
 
-    # Step-1 anchors whose regressed box is a correct prediction of their own face.
+    # Step-1 anchors whose regressed box is a correct prediction of their own
+    # face. Faces are counted with bincount: numpy's hash-based `unique`
+    # would import numpy.ma.
     step1_idx = np.flatnonzero(step1)
     own = assignment.face_of[step1_idx]
     good = elementwise_iou(regressed[step1_idx], faces[own]) > CPBB_IOU
-    faces_cpbb = np.unique(own[good]).size
+    faces_cpbb = np.count_nonzero(np.bincount(own[good]))
 
     # Post-NMS survival of an anchor depends only on boxes of equal or higher
     # score, so suppression is run on that subset of the dump; verdicts for
@@ -328,7 +341,7 @@ def provenance_report(
         kept_mask = np.zeros(assignment.n_anchors, dtype=bool)
         kept_mask[subset[nms(regressed[subset], scores[subset], nms_threshold)]] = True
         survived = good & kept_mask[step1_idx]
-    faces_cpbb_post = np.unique(own[survived]).size
+    faces_cpbb_post = np.count_nonzero(np.bincount(own[survived]))
 
     iou_cdf = np.sort(elementwise_iou(grid.boxes[step1_idx], faces[own]))
     return ProvenanceReport(

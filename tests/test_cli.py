@@ -649,3 +649,79 @@ def test_anchors_csv_at_non_square_size(tmp_path):
     assert want[1:3] == ["0,0,0,-3.44,-3.44,7.44,7.44", "0,0,1,0.56,-3.44,11.44,7.44"]
     assert want[25] == "0,0,24,92.56,-3.44,103.44,7.44"
     assert want[26].startswith("0,1,0,")
+
+
+def run_child(tmp_path, body, argv):
+    """Run `body` (Python source) in a child interpreter on this hambox, with `argv` as sys.argv[1:]."""
+    script = tmp_path / "child.py"
+    script.write_text(textwrap.dedent(body))
+    src = str(Path(hambox.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, str(script), *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+# The child caps its own address space at 2 GB before it imports anything,
+# so a per-anchor allocation on the far face's 2.7e8-anchor cover grid
+# (8.1 GB of boxes) fails fast instead of being attempted.
+FAR_FACE_CHILD = """\
+    import resource, sys, tracemalloc
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    from hambox.cli import main
+    tracemalloc.start()
+    code = main(sys.argv[1:])
+    print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("strategy", ["sms", "dms", "nams", "hambox"])
+def test_far_face_assigns_without_the_grid(tmp_path, strategy):
+    """One face at x = 10,000,000: noise-free assign works only on the anchors that meet it.
+
+    Its cover grid is about 10,000,311 x 321 px, 271,492,861 anchors. A
+    noise-free `assign` keeps no per-anchor array, so the run needs no more
+    than the pinned tracemalloc peak (about 0.25 MB when this was written).
+    """
+    gt = tmp_path / "gt.txt"
+    gt.write_text("far/a.jpg\n1\n10000000 10 8 8 0 0 0 0 0 0\n")
+    out = tmp_path / "run"
+    proc = run_child(tmp_path, FAR_FACE_CHILD, ["--out", str(out), "assign", "--annotations", str(gt), "--strategy", strategy])
+    assert "Traceback" not in proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak < 1 << 20
+    rows = read(out / "assign.csv").splitlines()[1:]
+    assert any(",positive,0," in row for row in rows)
+
+
+# A face near (2^52, 2^52): its cover grid holds about 1.7e30 anchors, so
+# an int64 anchor index would wrap.
+HUGE_GRID_READERS = {"assign-sms": ["assign", "--strategy", "sms"], "match-stats": ["match-stats"]}
+
+
+@pytest.mark.parametrize("command", HUGE_GRID_READERS.values(), ids=HUGE_GRID_READERS.keys())
+def test_grid_past_int64_exit_2(tmp_path, command):
+    gt = tmp_path / "gt.txt"
+    gt.write_text("big/a.jpg\n1\n4503599627370000 4503599627370000 8 8 0 0 0 0 0 0\n")
+    argv = ["--out", str(tmp_path / "run"), command[0], "--annotations", str(gt)] + command[1:]
+    src = str(Path(hambox.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "hambox.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "anchor grid of 4503599627370310x4503599627370310 px holds" in proc.stderr
+    assert "more than an int64 index can name" in proc.stderr
+
+
+def test_simulate_provenance_does_not_import_numpy_ma(tmp_path):
+    """numpy 2.4's hash-based `np.unique` imports `numpy.ma`, about 1.1 MB of peak RSS; no command needs it."""
+    body = """\
+        import sys
+        from hambox.cli import main
+        code = main(sys.argv[1:])
+        print(code, "numpy.ma" in sys.modules)
+    """
+    argv = ["--out", str(tmp_path / "run"), "simulate", "--synthetic-images", "1", "--iters", "1", "--provenance"]
+    proc = run_child(tmp_path, body, argv)
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

@@ -5,7 +5,10 @@ grid that `generate_anchors` lays out, and fall back to it on grids built
 by hand. `mine_image`'s windowed search of noisy regressed boxes must
 return exactly `overlaps` on `simulate_regression`. `generate_anchors` must
 keep the boxes of the meshgrid layout it was first written with, which is
-kept here as the reference.
+kept here as the reference, and a lattice grid's `boxes_at` and `levels_at`
+must equal those rows of it. Noise-free `assign`, which keeps state only on
+the anchors that meet a face, must write what the public dense functions
+give.
 """
 
 import math
@@ -26,12 +29,12 @@ from hambox.anchors import (
     generate_anchors,
     grid_overlaps,
 )
-from hambox.assignment import MatchParams
-from hambox.cli import main
-from hambox.geometry import Box, overlaps
-from hambox.ingest import FaceAnnotation, ImageRecord, load_wider_annotations
+from hambox.assignment import SOURCE_HAMBOX, SOURCE_NAMES, MatchParams, match_first_step, match_nams, match_two_step
+from hambox.cli import _assign_image, main
+from hambox.geometry import Box, elementwise_iou, overlaps
+from hambox.ingest import FaceAnnotation, ImageRecord, SimulatorSettings, ToolConfig, load_wider_annotations
 from hambox.losses import LossParams, sigmoid
-from hambox.mining import CompensationParams
+from hambox.mining import CompensationParams, compensate, compute_quality, ignore_mask
 from hambox.simulator import RegressorModel, mine_image, run_simulation, simulate_regression
 from hambox.stats import provenance_report
 
@@ -231,6 +234,18 @@ class TestGenerateAnchors:
     def test_equals_meshgrid_reference(self, config, image_w, image_h):
         assert_meshgrid_layout(config, image_w, image_h)
 
+    @given(configs(), image_side, image_side, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_index_arithmetic_equals_dense_rows(self, config, image_w, image_h, data):
+        grid = generate_anchors(config, image_w, image_h)
+        assert all(grid.__dict__[name] is None for name in ("boxes", "level_of", "cell_of"))  # none built yet
+        anchor = np.array(data.draw(st.lists(st.integers(0, len(grid) - 1), max_size=50)), dtype=np.int64)
+        want_boxes, want_levels, _ = meshgrid_anchors(config, image_w, image_h)
+        assert len(grid) == want_boxes.shape[0]
+        got = grid.boxes_at(anchor)
+        assert got.shape == (anchor.size, 4) and np.array_equal(got, want_boxes[anchor])
+        assert np.array_equal(grid.levels_at(anchor), want_levels[anchor])
+
     def test_default_grid_at_wider_size(self):
         assert_meshgrid_layout(default_hambox_config(), 1318, 1062)
 
@@ -273,3 +288,82 @@ def test_hambox_assign_searches_only_pulled_boxes(tmp_path, monkeypatch, noise):
         anchors.append(len(grid))
     assert seen == pulled
     assert all(p < a for p, a in zip(pulled, anchors))
+
+
+@st.composite
+def assign_cases(draw):
+    """An annotation record and a noise-free config: crowds, clipped, degenerate and zero-face images."""
+    n = draw(st.integers(1, 4))
+    strides = np.cumsum(draw(st.lists(st.floats(2.0, 16.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        strides = np.ceil(strides)
+    strides = sorted(set(strides.tolist()))
+    scales = draw(st.lists(st.floats(2.0, 60.0), min_size=len(strides), max_size=len(strides)))
+    config = AnchorConfig(
+        levels=tuple(zip(strides, scales)),
+        scale_ratio=draw(st.floats(0.3, 2.0)),
+        aspect_ratio=draw(st.sampled_from([1.0, 0.5, 1.3, draw(st.floats(0.3, 3.0))])),
+    )
+    # Anchors at fixed cells have the same box on every grid, so the faces
+    # can copy them from a small one: IoU 1 and ties between neighbours.
+    small = generate_anchors(config, 64, 64)
+    coord = st.one_of(st.integers(-30, 120).map(float), st.floats(-30.0, 120.0))
+    faces = []
+    for _ in range(draw(st.sampled_from([0, 1, 3, 8, 40]))):
+        kind = draw(st.sampled_from(["plain", "plain", "anchor", "copy", "near", "zero"]))
+        if kind == "anchor":
+            face = small.boxes[draw(st.integers(0, len(small) - 1))].tolist()
+        elif kind in ("copy", "near") and faces:  # a duplicate, or a crowd neighbour
+            face = list(faces[draw(st.integers(0, len(faces) - 1))])
+            if kind == "near":
+                dx, dy = draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0))
+                face = [face[0] + dx, face[1] + dy, face[2] + dx, face[3] + dy]
+        else:
+            x0, y0 = draw(coord), draw(coord)
+            w, h = draw(st.floats(0.5, 50.0)), draw(st.floats(0.5, 50.0))
+            face = [x0, y0, x0 if kind == "zero" else x0 + w, y0 + h]
+        faces.append(face)
+    path = draw(st.sampled_from(["a.jpg", "odd/{x}}{.jpg"]))
+    record = ImageRecord(path, tuple(FaceAnnotation(Box(*f)) for f in faces))
+    top_n = draw(st.one_of(st.just("mean_matched"), st.integers(1, 4)))
+    match = MatchParams(draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.5)), top_n)
+    comp = CompensationParams(T=draw(st.floats(0.0, 1.0)), K=draw(st.integers(1, 5)))
+    sim = SimulatorSettings(q=draw(st.sampled_from([0.0, 0.9, 1.0])))
+    return record, ToolConfig(anchors=config, match=match, compensation=comp, simulator=sim), draw(st.integers(0, 50))
+
+
+def dense_block(record, cfg, stream):
+    """The image's `assign.csv` rows from the public dense functions, each line an f-string."""
+    faces = record.face_boxes()
+    grid = generate_anchors(cfg.anchors, *cover_image_size(faces, cfg.anchors))
+    ignore = None
+    if cfg.strategy == "hambox":
+        first = match_first_step(grid, faces, cfg.match)
+        regressed = simulate_regression(grid, faces, RegressorModel(q=cfg.simulator.q), 0, stream)
+        assigned = compensate(first, grid, faces, regressed, cfg.compensation)
+        quality = compute_quality(regressed, faces)
+        ignore = ignore_mask(assigned, quality)
+    else:
+        matcher = {"sms": match_first_step, "dms": match_two_step, "nams": match_nams}[cfg.strategy]
+        assigned = matcher(grid, faces, cfg.match)
+    lines = []
+    for i in np.flatnonzero(assigned.face_of >= 0):
+        f, source = assigned.face_of[i], assigned.source[i]
+        box = regressed[i] if source == SOURCE_HAMBOX else grid.boxes[i]
+        iou = elementwise_iou(box[None], faces[f][None])[0]
+        lines.append(f"{record.path},{i},{grid.level_of[i]},positive,{f},{SOURCE_NAMES[source]},{iou:.10g}\n")
+    if ignore is not None:
+        for i in np.flatnonzero(ignore):
+            lines.append(f"{record.path},{i},{grid.level_of[i]},ignore,,none,{quality.F[i]:.10g}\n")
+    return "".join(lines)
+
+
+class TestSparseAssign:
+    @given(assign_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_rows_equal_dense_functions(self, case):
+        """`_assign_image` keeps state only on the pair-list rows; its block equals the dense one."""
+        record, cfg, stream = case
+        for strategy in ("sms", "dms", "nams", "hambox"):
+            cfg = replace(cfg, strategy=strategy)
+            assert _assign_image(record, cfg, stream) == dense_block(record, cfg, stream), strategy

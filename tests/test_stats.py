@@ -3,7 +3,7 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hambox import stats
@@ -169,9 +169,16 @@ def sweep_case(draw):
     return faces, [config.with_scale_ratio(r) for r in ratios], draw(st.none() | st.just(size)), threshold
 
 
+# Two unit faces that each anchor containing them scores alike, as the dense
+# matcher computes the anchor's area: from its coordinates, which round
+# differently from the product of its sides.
+TIED_FACES = np.array([[0.0, 0.8632306913008204, 1.0, 1.8632306913008203], [0.0, 0.0, 1.0, 1.0]])
+
+
 @pytest.mark.parametrize("budget", [None, 1, 7, 100])
 @settings(max_examples=40, deadline=None)
 @given(case=sweep_case())
+@example(case=(TIED_FACES, [AnchorConfig(levels=((2.0, 29.16220130427284),), aspect_ratio=1.5)], None, 5e-324))
 def test_census_tally_equals_per_config_kernel_and_dense(budget, case):
     """Every config's tally row is what `_image_census` and the dense matcher
     give for that config alone, also when passes split at every config."""

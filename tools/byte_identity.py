@@ -96,6 +96,14 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
                                                            "--annotations", small, "--strategy", strategy]))
     for strategy in ("sms", "hambox"):
         runs.append((f"assign-braces-{strategy}", ["assign", "--annotations", braces, "--strategy", strategy]))
+    # Non-default lattices: tall anchors on four levels, and two coarse levels.
+    for name, ini_path in (("tall", tall_ini), ("grid", grid_ini)):
+        for strategy in STRATEGIES:
+            runs.append((f"assign-{name}-{strategy}", ["--config", ini_path, "--seed", "2", "assign",
+                                                        "--annotations", small, "--strategy", strategy]))
+    # The crowd-assign file: 150- and 200-face images.
+    runs.append(("assign-crowd-sms", ["assign", "--annotations", crowd, "--strategy", "sms"]))
+    runs.append(("assign-crowd-hambox-t2", ["--threads", "2", "assign", "--annotations", crowd, "--strategy", "hambox"]))
     runs.append(("assign-noisy", ["--config", noisy_ini, "assign", "--annotations", small, "--strategy", "hambox"]))
     runs.append(("assign-wide-noise", ["--config", wide_noise_ini, "--seed", "3", "assign", "--annotations", small,
                                        "--strategy", "hambox"]))
