@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -51,17 +50,11 @@ class AnchorConfig:
         return side, side * self.aspect_ratio
 
     @cached_property
-    def _sizes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-level strides, anchor widths and anchor heights, as `anchor_size` computes them."""
+    def _sizes(self) -> np.ndarray:
+        """(3, L): per-level strides, anchor widths and anchor heights, as `anchor_size` computes them."""
         strides, scales = np.asarray(self.levels, dtype=np.float64).T
         aw = scales * self.scale_ratio
-        return strides, aw, aw * self.aspect_ratio
-
-    @cached_property
-    def _cover_margins(self) -> tuple[float, float]:
-        """How far right of and below a face an anchor that touches it can reach."""
-        strides, aw, ah = self._sizes
-        return float((strides + aw / 2.0).max()), float((strides + ah / 2.0).max())
+        return np.stack([strides, aw, aw * self.aspect_ratio])
 
 
 class _PerAnchor:
@@ -113,7 +106,7 @@ class AnchorGrid:
     @cached_property
     def _layout(self) -> tuple[np.ndarray, ...]:
         """`_lattice` of this grid's config and image size, computed once."""
-        return _lattice(self.config, *self.image_size)
+        return _lattice(self.config._sizes[None], *self.image_size)
 
     def levels_at(self, anchor: np.ndarray) -> np.ndarray:
         """The pyramid level of each anchor index."""
@@ -148,47 +141,55 @@ class AnchorGrid:
         return cells
 
 
-def grid_shape(stride: float, image_w: float, image_h: float) -> tuple[int, int]:
-    """(rows, cols) of the anchor lattice for one stride."""
-    return math.ceil(image_h / stride), math.ceil(image_w / stride)
+def _lattice(sizes: np.ndarray, image_w, image_h) -> tuple[np.ndarray, ...]:
+    """Per-layer strides, anchor widths and heights, lattice rows and cols, and first anchor index.
 
-
-def _lattice(config: AnchorConfig, image_w: float, image_h: float) -> tuple[np.ndarray, ...]:
-    """Per-level strides, anchor widths and heights, lattice rows and cols, and first anchor index.
-
-    Raises ValueError when the grid holds more anchors than an int64 index
-    can name.
+    `sizes` (K, 3, L) stacks K configs' `_sizes`, and config k's lattice
+    covers an image_w[k] x image_h[k] image: the sizes are scalars, which
+    serve every config, or (K, 1) arrays. A layer is one level of one
+    config, config-major, and first indices run on across configs, so an
+    anchor's index names its config too. Raises ValueError when the layers
+    hold more anchors than an int64 index can name.
     """
-    rows, cols = zip(*(grid_shape(s, image_w, image_h) for s, _ in config.levels))
-    _check_anchor_count(rows, cols, image_w, image_h)
-    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    return *config._sizes, rows, cols, np.cumsum(rows * cols) - rows * cols
+    strides, aw, ah = sizes.transpose(1, 0, 2)
+    rows, cols = np.ceil(image_h / strides).ravel(), np.ceil(image_w / strides).ravel()
+    if not rows @ cols < 2.0**62:  # within rounding of int64's range, or not finite: count exactly
+        n = sum(int(r) * int(c) for r, c in zip(rows, cols))
+        if n > INT64_MAX:
+            size = "x".join(str(v) if np.ndim(v) == 0 else f"{np.max(v):.0f}" for v in (image_w, image_h))
+            raise ValueError(f"an anchor grid of {size} px holds {n} anchors, more than an int64 index can name")
+    rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+    return strides.ravel(), aw.ravel(), ah.ravel(), rows, cols, np.cumsum(rows * cols) - rows * cols
 
 
-def _check_anchor_count(rows, cols, image_w, image_h) -> None:
-    """Raise ValueError when lattice layers of these rows and cols hold more anchors than an int64 index can name.
+def _cover(faces: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per stacked config of `sizes` (K, 3, L), the width and height of `cover_image_size`, as (K, 1) floats."""
+    strides, aw, ah = sizes.transpose(1, 0, 2)
+    top = faces.max(axis=0, initial=-np.inf)
+    w = np.ceil(np.maximum(top[2] + (strides + aw / 2.0).max(axis=1, keepdims=True), strides[:, -1:]))
+    h = np.ceil(np.maximum(top[3] + (strides + ah / 2.0).max(axis=1, keepdims=True), strides[:, -1:]))
+    return w, h
 
-    The count is exact: `rows` and `cols` are integer-valued and summed as
-    Python ints.
-    """
-    n = sum(int(r) * int(c) for r, c in zip(rows, cols))
-    if n > INT64_MAX:
-        raise ValueError(f"an anchor grid of {image_w}x{image_h} px holds {n} anchors, more than an int64 index can name")
+
+def _extent(cell, stride, half):
+    """First and last coordinate, on one axis, of the anchors at `cell`: center cell * stride + stride / 2, +/- half."""
+    center = cell * stride + stride / 2.0
+    return center - half, center + half
 
 
 def _cell_boxes(layout: tuple[np.ndarray, ...], level, row, col) -> np.ndarray:
     """Boxes (..., 4) of the anchors at lattice cells (level, row, col) of `layout`, a `_lattice`.
 
-    A center is (col, row) * stride + stride / 2 and a box is center +/-
-    side / 2. Arguments broadcast, and each coordinate is the same
-    elementwise arithmetic whatever their shapes, so any subset of anchors
+    Arguments broadcast, and each coordinate is the same elementwise
+    `_extent` arithmetic whatever their shapes, so any subset of anchors
     comes out bit-equal to the whole grid.
     """
     strides, aw, ah = layout[:3]
-    s, s2, hw, hh = strides[level], (strides / 2.0)[level], (aw / 2.0)[level], (ah / 2.0)[level]
-    cx, cy = col * s + s2, row * s + s2
-    out = np.empty(np.broadcast_shapes(cx.shape, cy.shape) + (4,))
-    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = cx - hw, cy - hh, cx + hw, cy + hh
+    s = strides[level]
+    x0, x1 = _extent(col, s, (aw / 2.0)[level])
+    y0, y1 = _extent(row, s, (ah / 2.0)[level])
+    out = np.empty(np.broadcast_shapes(x0.shape, y0.shape) + (4,))
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = x0, y0, x1, y1
     return out
 
 
@@ -224,6 +225,18 @@ def _expand_windows(face, level, row_lo, row_hi, col_lo, col_hi, cols, start):
     return face[win], level, row, col, start[level] + row * cols[level] + col
 
 
+def _window(lo, hi, half, stride, n, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """First and last cell (inclusive), on one axis, of each window of anchors that can meet [lo, hi].
+
+    An anchor reaches `half` either side of its center (`_extent`). The
+    window is widened by `pad` cells on each side and cut to the lattice's
+    `n` cells, so a window past the lattice comes out empty (last < first).
+    """
+    first = np.clip(np.ceil((lo - half) / stride - 0.5) - pad, 0.0, n)
+    last = np.clip(np.floor((hi + half) / stride - 0.5) + pad, -1.0, n - 1.0)
+    return first.astype(np.int64), last.astype(np.int64)
+
+
 def _window_candidates(
     grid: AnchorGrid, faces: np.ndarray, reach: np.ndarray | None = None, limit: int | None = None
 ) -> tuple[np.ndarray, ...] | None:
@@ -248,13 +261,8 @@ def _window_candidates(
     live = np.flatnonzero((fw > 0.0) & (fh > 0.0) & np.isfinite(fw * fh))
     face, level = np.repeat(live, strides.size), np.tile(np.arange(strides.size), live.size)
     s, f = strides[level], faces[face]
-
-    def window(lo, hi, half, n):
-        lo = np.clip(np.ceil((lo - half) / s - 0.5) - 1.0, 0.0, n)
-        return lo.astype(np.int64), np.clip(np.floor((hi + half) / s - 0.5) + 1.0, -1.0, n - 1.0).astype(np.int64)
-
-    col_lo, col_hi = window(f[:, 0], f[:, 2], half_w[level], cols[level])
-    row_lo, row_hi = window(f[:, 1], f[:, 3], half_h[level], rows[level])
+    col_lo, col_hi = _window(f[:, 0], f[:, 2], half_w[level], s, cols[level], 1.0)
+    row_lo, row_hi = _window(f[:, 1], f[:, 3], half_h[level], s, rows[level], 1.0)
     if limit is not None and np.sum(np.maximum(col_hi - col_lo + 1, 0) * np.maximum(row_hi - row_lo + 1, 0)) > limit:
         return None
     return _expand_windows(face, level, row_lo, row_hi, col_lo, col_hi, cols, start)
@@ -297,14 +305,8 @@ def cover_image_size(face_boxes: np.ndarray, config: AnchorConfig) -> tuple[int,
     contains every anchor with positive overlap against any listed face, so
     match results equal those on any larger grid.
     """
-    face_boxes = np.asarray(face_boxes, dtype=np.float64)
-    margin, v_margin = config._cover_margins
-    max_stride = config.levels[-1][0]
-    if face_boxes.size == 0:
-        return math.ceil(max_stride), math.ceil(max_stride)
-    w = math.ceil(max(float(face_boxes[:, 2].max()) + margin, max_stride))
-    h = math.ceil(max(float(face_boxes[:, 3].max()) + v_margin, max_stride))
-    return w, h
+    w, h = _cover(as_box_array(face_boxes), config._sizes[None])
+    return int(w.item()), int(h.item())
 
 
 def default_hambox_config() -> AnchorConfig:

@@ -52,37 +52,33 @@ def as_box_array(boxes: Sequence[Box] | np.ndarray) -> np.ndarray:
     return arr
 
 
+def _area(boxes: np.ndarray) -> np.ndarray:
+    """Area of each (..., 4) box, with a negative side counted as 0."""
+    return np.maximum(0.0, boxes[..., 2] - boxes[..., 0]) * np.maximum(0.0, boxes[..., 3] - boxes[..., 1])
+
+
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of (..., 4) boxes `a` and `b`, broadcast against each other; 0 where the union is not positive."""
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = _area(a) + _area(b) - inter
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
+
+
 def iou(a: Box | Sequence[float], b: Box | Sequence[float]) -> float:
     """Intersection-over-union of two boxes.
 
     Degenerate (zero-area) boxes yield 0.0, never NaN.
     """
-    ax0, ay0, ax1, ay1 = a
-    bx0, by0, bx1, by1 = b
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    return float(_iou(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
 
 
 def pairwise_iou(a: Sequence[Box] | np.ndarray, b: Sequence[Box] | np.ndarray) -> np.ndarray:
     """IoU between every box in `a` and every box in `b`; returns an (N, M) array."""
-    a = as_box_array(a)
-    b = as_box_array(b)
-    area_a = np.maximum(0.0, a[:, 2] - a[:, 0]) * np.maximum(0.0, a[:, 3] - a[:, 1])
-    area_b = np.maximum(0.0, b[:, 2] - b[:, 0]) * np.maximum(0.0, b[:, 3] - b[:, 1])
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    union = area_a[:, None] + area_b[None, :] - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0.0)
-    return out
+    return _iou(as_box_array(a)[:, None], as_box_array(b)[None])
 
 
 class Overlaps(NamedTuple):
@@ -136,10 +132,8 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
     faces = as_box_array(faces)
     bw, bh = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
     fw, fh = faces[:, 2] - faces[:, 0], faces[:, 3] - faces[:, 1]
-    area_b = np.maximum(0.0, bw) * np.maximum(0.0, bh)
-    area_f = np.maximum(0.0, fw) * np.maximum(0.0, fh)
-    bi = np.flatnonzero((bw > 0.0) & (bh > 0.0) & np.isfinite(area_b))
-    fi = np.flatnonzero((fw > 0.0) & (fh > 0.0) & np.isfinite(area_f))
+    bi = np.flatnonzero((bw > 0.0) & (bh > 0.0) & np.isfinite(bw * bh))
+    fi = np.flatnonzero((fw > 0.0) & (fh > 0.0) & np.isfinite(fw * fh))
     if bi.size == 0 or fi.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         return Overlaps(empty, empty, np.zeros(0))
@@ -224,9 +218,7 @@ def _scored(b: np.ndarray, faces: np.ndarray, box: np.ndarray, face: np.ndarray)
     meet = np.flatnonzero((iw > 0.0) & (ih > 0.0))
     box, face, b, f = box[meet], face[meet], b.take(meet, axis=0), f.take(meet, axis=0)
     inter = iw[meet] * ih[meet]
-    area_b = np.maximum(0.0, b[:, 2] - b[:, 0]) * np.maximum(0.0, b[:, 3] - b[:, 1])
-    area_f = np.maximum(0.0, f[:, 2] - f[:, 0]) * np.maximum(0.0, f[:, 3] - f[:, 1])
-    iou = inter / (area_b + area_f - inter)
+    iou = inter / (_area(b) + _area(f) - inter)
     keep = iou > 0.0
     box, face, iou = box[keep], face[keep], iou[keep]
     # Ranking the IoUs first lets one stable sort finish the order.
@@ -241,54 +233,30 @@ def elementwise_iou(a: Sequence[Box] | np.ndarray, b: Sequence[Box] | np.ndarray
     b = as_box_array(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
-    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    area_a = np.maximum(0.0, a[:, 2] - a[:, 0]) * np.maximum(0.0, a[:, 3] - a[:, 1])
-    area_b = np.maximum(0.0, b[:, 2] - b[:, 0]) * np.maximum(0.0, b[:, 3] - b[:, 1])
-    union = area_a + area_b - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0.0)
-    return out
-
-
-def _require_positive_size(box: Sequence[float], role: str) -> None:
-    x0, y0, x1, y1 = box
-    if x1 - x0 <= 0.0 or y1 - y0 <= 0.0:
-        raise ValueError(f"{role} must have positive width and height: {tuple(box)}")
+    return _iou(a, b)
 
 
 def encode(anchor: Box | Sequence[float], target: Box | Sequence[float]) -> BoxDelta:
-    """Encode `target` relative to `anchor` as (tx, ty, tw, th).
+    """Encode `target` relative to `anchor` as (tx, ty, tw, th): :func:`encode_boxes` on one row.
 
     tx, ty are the center offsets divided by anchor width/height; tw, th are
     natural logs of the size ratios. Both boxes must have positive size.
     """
-    _require_positive_size(anchor, "anchor")
-    _require_positive_size(target, "target")
-    ax0, ay0, ax1, ay1 = anchor
-    tx0, ty0, tx1, ty1 = target
-    aw = ax1 - ax0
-    ah = ay1 - ay0
-    tw = tx1 - tx0
-    th = ty1 - ty0
-    dx = ((tx0 + tx1) - (ax0 + ax1)) / (2.0 * aw)
-    dy = ((ty0 + ty1) - (ay0 + ay1)) / (2.0 * ah)
-    return BoxDelta(dx, dy, float(np.log(tw / aw)), float(np.log(th / ah)))
+    return BoxDelta(*encode_boxes([anchor], [target])[0].tolist())
 
 
 def decode(anchor: Box | Sequence[float], delta: BoxDelta | Sequence[float]) -> Box:
-    """Invert :func:`encode`: apply `delta` to `anchor` and return the resulting box."""
-    _require_positive_size(anchor, "anchor")
-    ax0, ay0, ax1, ay1 = anchor
-    dx, dy, dw, dh = delta
-    aw = ax1 - ax0
-    ah = ay1 - ay0
-    cx = (ax0 + ax1) / 2.0 + dx * aw
-    cy = (ay0 + ay1) / 2.0 + dy * ah
-    w = float(np.exp(dw)) * aw
-    h = float(np.exp(dh)) * ah
-    return Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+    """Invert :func:`encode`: apply `delta` to `anchor` (:func:`decode_boxes` on one row)."""
+    return Box(*decode_boxes([anchor], [delta])[0].tolist())
+
+
+def _sides(boxes: np.ndarray, role: str) -> tuple[np.ndarray, np.ndarray]:
+    """Widths and heights of (N, 4) boxes; ValueError names the first `role` box without positive size."""
+    w, h = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
+    if np.any(w <= 0.0) or np.any(h <= 0.0):
+        bad = int(np.argmax((w <= 0.0) | (h <= 0.0)))
+        raise ValueError(f"{role} {bad} must have positive width and height: {tuple(boxes[bad])}")
+    return w, h
 
 
 def encode_boxes(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -297,16 +265,8 @@ def encode_boxes(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:
     targets = as_box_array(targets)
     if anchors.shape != targets.shape:
         raise ValueError(f"shape mismatch: anchors {anchors.shape} vs targets {targets.shape}")
-    aw = anchors[:, 2] - anchors[:, 0]
-    ah = anchors[:, 3] - anchors[:, 1]
-    tw = targets[:, 2] - targets[:, 0]
-    th = targets[:, 3] - targets[:, 1]
-    if np.any(aw <= 0.0) or np.any(ah <= 0.0):
-        bad = int(np.argmax((aw <= 0.0) | (ah <= 0.0)))
-        raise ValueError(f"anchor {bad} must have positive width and height: {tuple(anchors[bad])}")
-    if np.any(tw <= 0.0) or np.any(th <= 0.0):
-        bad = int(np.argmax((tw <= 0.0) | (th <= 0.0)))
-        raise ValueError(f"target {bad} must have positive width and height: {tuple(targets[bad])}")
+    aw, ah = _sides(anchors, "anchor")
+    tw, th = _sides(targets, "target")
     dx = ((targets[:, 0] + targets[:, 2]) - (anchors[:, 0] + anchors[:, 2])) / (2.0 * aw)
     dy = ((targets[:, 1] + targets[:, 3]) - (anchors[:, 1] + anchors[:, 3])) / (2.0 * ah)
     return np.stack([dx, dy, np.log(tw / aw), np.log(th / ah)], axis=1)
@@ -320,11 +280,7 @@ def decode_boxes(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         deltas = deltas.reshape(0, 4)
     if anchors.shape != deltas.shape:
         raise ValueError(f"shape mismatch: anchors {anchors.shape} vs deltas {deltas.shape}")
-    aw = anchors[:, 2] - anchors[:, 0]
-    ah = anchors[:, 3] - anchors[:, 1]
-    if np.any(aw <= 0.0) or np.any(ah <= 0.0):
-        bad = int(np.argmax((aw <= 0.0) | (ah <= 0.0)))
-        raise ValueError(f"anchor {bad} must have positive width and height: {tuple(anchors[bad])}")
+    aw, ah = _sides(anchors, "anchor")
     cx = (anchors[:, 0] + anchors[:, 2]) / 2.0 + deltas[:, 0] * aw
     cy = (anchors[:, 1] + anchors[:, 3]) / 2.0 + deltas[:, 1] * ah
     w = np.exp(deltas[:, 2]) * aw

@@ -121,29 +121,26 @@ def parse_wider_annotations(
         stream = iter(stream.splitlines(keepends=True))
     reader = _LineReader(iter(stream))
     records: list[ImageRecord] = []
-    skipped_malformed = 0
-    dropped_degenerate = 0
+    dropped = {"malformed": 0, "degenerate": 0}
 
-    while True:
-        path = reader.next()
-        if path is None:
-            break
+    def reject(message: str, kind: str | None = "malformed") -> None:
+        """Raise on the current line in strict mode; else count the entry as `kind` (None: tolerated)."""
+        if strict:
+            raise AnnotationParseError(f"line {reader.lineno}: {message}") from None
+        if kind is not None:
+            dropped[kind] += 1
+
+    while (path := reader.next()) is not None:
         count_line = reader.next()
         if count_line is None:
-            if strict:
-                raise AnnotationParseError(f"line {reader.lineno}: truncated block for {path!r}")
-            skipped_malformed += 1
+            reject(f"truncated block for {path!r}")
             break
         try:
             count = int(count_line.strip())
             if count < 0:
                 raise ValueError("negative count")
         except ValueError:
-            if strict:
-                raise AnnotationParseError(
-                    f"line {reader.lineno}: bad face count {count_line.strip()!r} for {path!r}"
-                ) from None
-            skipped_malformed += 1
+            reject(f"bad face count {count_line.strip()!r} for {path!r}")
             # Recovery: discard anything that still looks like a face line.
             while (line := reader.next()) is not None:
                 try:
@@ -158,65 +155,39 @@ def parse_wider_annotations(
         if count == 0:
             # The distributed files pad empty images with one all-zero line.
             placeholder = reader.next()
-            if placeholder is not None:
-                try:
-                    _parse_face_fields(placeholder.split())
-                except ValueError:
-                    if strict:
-                        raise AnnotationParseError(
-                            f"line {reader.lineno}: expected placeholder face line after zero count"
-                        ) from None
+            try:
+                _parse_face_fields((placeholder or "").split())
+            except ValueError:
+                reject("expected placeholder face line after zero count", None)
+                if placeholder is not None:
                     reader.push_back(placeholder)
-            elif strict:
-                raise AnnotationParseError(
-                    f"line {reader.lineno}: expected placeholder face line after zero count"
-                )
         for _ in range(count):
             line = reader.next()
             if line is None:
-                if strict:
-                    raise AnnotationParseError(f"line {reader.lineno}: truncated block for {path!r}")
-                skipped_malformed += 1
+                reject(f"truncated block for {path!r}")
                 break
             try:
                 x, y, w, h, *attrs = _parse_face_fields(line.split())
             except ValueError as exc:
-                if strict:
-                    raise AnnotationParseError(f"line {reader.lineno}: {exc}") from None
-                skipped_malformed += 1
+                reject(str(exc))
                 continue
+            attr_map = dict(zip((name for name, _ in _ATTR_RANGES), attrs))
+            bad_attr = next((name for name, hi in _ATTR_RANGES if not 0 <= attr_map[name] <= hi), None)
             if max(abs(x), abs(y), abs(x + w), abs(y + h)) > _MAX_COORD:
-                if strict:
-                    raise AnnotationParseError(f"line {reader.lineno}: face coordinate beyond 2**53 in magnitude")
-                skipped_malformed += 1
-                continue
-            names = [name for name, _ in _ATTR_RANGES]
-            attr_map = dict(zip(names, attrs))
-            bad_attr = next(
-                (name for (name, hi) in _ATTR_RANGES if not 0 <= attr_map[name] <= hi), None
-            )
-            if bad_attr is not None:
-                if strict:
-                    raise AnnotationParseError(
-                        f"line {reader.lineno}: attribute {bad_attr}={attr_map[bad_attr]} out of range"
-                    )
-                skipped_malformed += 1
-                continue
-            if w <= 0 or h <= 0:
-                if strict:
-                    raise AnnotationParseError(
-                        f"line {reader.lineno}: degenerate face {w}x{h} at ({x}, {y})"
-                    )
-                dropped_degenerate += 1
-                continue
-            faces.append(FaceAnnotation(box=Box(x, y, x + w, y + h), **attr_map))
+                reject("face coordinate beyond 2**53 in magnitude")
+            elif bad_attr is not None:
+                reject(f"attribute {bad_attr}={attr_map[bad_attr]} out of range")
+            elif w <= 0 or h <= 0:
+                reject(f"degenerate face {w}x{h} at ({x}, {y})", "degenerate")
+            else:
+                faces.append(FaceAnnotation(box=Box(x, y, x + w, y + h), **attr_map))
         records.append(ImageRecord(path=path, faces=tuple(faces)))
 
-    if skipped_malformed or dropped_degenerate:
+    if dropped["malformed"] or dropped["degenerate"]:
         logger.warning(
             "annotation parse: skipped %d malformed entries, dropped %d degenerate faces",
-            skipped_malformed,
-            dropped_degenerate,
+            dropped["malformed"],
+            dropped["degenerate"],
         )
     return records
 

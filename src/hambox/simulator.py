@@ -31,7 +31,7 @@ from .anchors import (
 )
 from .assignment import SOURCE_HAMBOX, Assignment, MatchParams, first_step_from_overlaps
 from .geometry import Box, Overlaps, _scored, as_box_array, elementwise_iou, encode_boxes, overlaps
-from .ingest import FaceAnnotation, ImageRecord, _map_images
+from .ingest import FaceAnnotation, ImageRecord, SimulatorSettings, _map_images
 from .losses import (
     LossParams,
     location_loss,
@@ -58,18 +58,16 @@ class RegressorModel:
     `q` interpolates each anchor toward its best face (0 = no movement,
     1 = exact); `quality_ramp`, when set, supplies q per iteration.
     `noise_sigma` scales corner jitter relative to the reference box size.
+    Defaults and checks are those of `SimulatorSettings`.
     """
 
-    q: float = 0.9
-    noise_sigma: float = 0.0
-    seed: int = 0
+    q: float = SimulatorSettings.q
+    noise_sigma: float = SimulatorSettings.noise_sigma
+    seed: int = SimulatorSettings.seed
     quality_ramp: Callable[[int], float] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {self.q}")
-        if self.noise_sigma < 0.0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        SimulatorSettings(q=self.q, noise_sigma=self.noise_sigma, seed=self.seed)
 
     def q_at(self, iteration: int) -> float:
         q = self.quality_ramp(iteration) if self.quality_ramp is not None else self.q
@@ -357,8 +355,8 @@ def run_simulation(
     n_iters: int,
     match_params: MatchParams | None = None,
     image_size: tuple[int, int] | None = None,
-    scorer_scale: float = 4.0,
-    scorer_bias: float = -2.0,
+    scorer_scale: float = SimulatorSettings.score_scale,
+    scorer_bias: float = SimulatorSettings.score_bias,
     threads: int = 1,
     provenance: bool = False,
 ) -> tuple[list[SimulationRecord], ProvenanceReport | None]:

@@ -4,12 +4,15 @@ The dataset-level counters use a windowed candidate search instead of
 materializing full anchor grids: a face can only hold anchors whose center
 falls inside its overlap window, and a (face, level) pair whose box areas
 differ by more than the IoU threshold allows can never produce a positive.
-Within the candidate set the per-anchor argmax and tie-breaks are identical
-to the dense matcher, so counts agree exactly with brute force over the full
-grid (the tests assert this). A run walks the dataset once. Each image is
-scored for every anchor config and pyramid level together, as layers of one
-window search, in passes of at most `_PASS_CELLS` window cells, and each pass
-is reduced to a few integers per config. Memory per image is bounded by the
+The lattice comes from `anchors`: its layout and cover size (`_lattice`,
+`_cover`), each window's cells (`_window`) and each anchor's extent
+(`_extent`) are the ones the dense grid is built and searched with. Within
+the candidate set the per-anchor argmax and tie-breaks are identical to the
+dense matcher, so counts agree exactly with brute force over the full grid
+(the tests assert this). A run walks the dataset once. Each image is scored
+for every anchor config and pyramid level together, as layers of one window
+search, in passes of at most `_PASS_CELLS` window cells, and each pass is
+reduced to a few integers per config. Memory per image is bounded by the
 pass, whatever the number of configs in a scale-ratio sweep.
 """
 
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchors import AnchorConfig, AnchorGrid, _check_anchor_count, _expand_windows
+from .anchors import AnchorConfig, AnchorGrid, _cover, _expand_windows, _extent, _lattice, _window
 from .assignment import BACKGROUND, SOURCE_STEP1, Assignment
 from .geometry import Box, as_box_array, elementwise_iou, nms
 from .ingest import ImageRecord, _map_images
@@ -94,29 +97,6 @@ def valid_face_boxes(record: ImageRecord) -> np.ndarray:
 _PASS_CELLS = 2**14
 
 
-def _layers(faces: np.ndarray, sizes: np.ndarray, image_size: tuple[int, int] | None) -> tuple[np.ndarray, ...]:
-    """`_lattice` of every (config, level) layer, config-major, from stacked `_sizes` (K, 3, L).
-
-    Each config's lattice covers `image_size`, or else that config's
-    `cover_image_size`, computed with the same float operations. First
-    indices run on across configs, so an anchor's index names its config too;
-    a block whose layers hold more anchors than int64 can index raises
-    ValueError.
-    """
-    strides, aw, ah = sizes.transpose(1, 0, 2)
-    if image_size is not None:
-        w, h = (np.full(sizes.shape[0], float(v)) for v in image_size)
-    else:
-        top = faces.max(axis=0, initial=-np.inf)
-        w = np.ceil(np.maximum(top[2] + (strides + aw / 2.0).max(axis=1), strides[:, -1]))
-        h = np.ceil(np.maximum(top[3] + (strides + ah / 2.0).max(axis=1), strides[:, -1]))
-    rows, cols = np.ceil(h[:, None] / strides).ravel(), np.ceil(w[:, None] / strides).ravel()
-    if np.dot(rows, cols) >= 2.0**62:  # within rounding of int64's range: count exactly
-        _check_anchor_count(rows, cols, int(w.max()), int(h.max()))
-    rows, cols = rows.astype(np.int64), cols.astype(np.int64)
-    return strides.ravel(), aw.ravel(), ah.ravel(), rows, cols, np.cumsum(rows * cols) - rows * cols
-
-
 def _windows(faces: np.ndarray, layers: tuple[np.ndarray, ...], iou_threshold: float) -> tuple[np.ndarray, ...]:
     """Face, layer and inclusive row and col bounds of every (face, layer) window, layer-major.
 
@@ -128,22 +108,19 @@ def _windows(faces: np.ndarray, layers: tuple[np.ndarray, ...], iou_threshold: f
     a_area = (aw * ah)[:, None]
     # Area-ratio bound: IoU <= min(A_a, A_f) / max(A_a, A_f), over (layer, face).
     li, fi = np.nonzero(np.minimum(a_area, face_area) / np.maximum(a_area, face_area) >= iou_threshold)
-    stride, hw, hh = strides[li], aw[li] / 2.0, ah[li] / 2.0
-    col_lo = np.clip(np.ceil((faces[fi, 0] - hw) / stride - 0.5), 0, cols[li] - 1).astype(np.int64)
-    col_hi = np.clip(np.floor((faces[fi, 2] + hw) / stride - 0.5), 0, cols[li] - 1).astype(np.int64)
-    row_lo = np.clip(np.ceil((faces[fi, 1] - hh) / stride - 0.5), 0, rows[li] - 1).astype(np.int64)
-    row_hi = np.clip(np.floor((faces[fi, 3] + hh) / stride - 0.5), 0, rows[li] - 1).astype(np.int64)
+    col_lo, col_hi = _window(faces[fi, 0], faces[fi, 2], aw[li] / 2.0, strides[li], cols[li])
+    row_lo, row_hi = _window(faces[fi, 1], faces[fi, 3], ah[li] / 2.0, strides[li], rows[li])
     return fi, li, row_lo, row_hi, col_lo, col_hi
 
 
 def _overlap(cell, stride, half, lo, hi):
-    """Overlap of [lo, hi] with each anchor's extent on one axis, clamped at 0, and the extent's length.
+    """Overlap of [lo, hi] with each anchor's `_extent` on one axis, clamped at 0, and the extent's length.
 
-    The length is taken from the anchor's coordinates, as `pairwise_iou`
-    takes it, so IoUs and their ties are bit-equal to the dense matcher's.
+    The extent is the one `anchors._cell_boxes` gives the dense matcher, and
+    its length is taken from its coordinates, as `pairwise_iou` takes it, so
+    IoUs and their ties are bit-equal to the dense matcher's.
     """
-    center = cell * stride + stride / 2.0
-    a0, a1 = center - half, center + half
+    a0, a1 = _extent(cell, stride, half)
     return np.maximum(np.minimum(a1, hi) - np.maximum(a0, lo), 0.0), a1 - a0
 
 
@@ -184,7 +161,8 @@ def _image_census(
 
     The census kernel on one config, in one pass.
     """
-    layers = _layers(faces, np.asarray(config._sizes)[None], image_size)
+    sizes = config._sizes[None]
+    layers = _lattice(sizes, *(image_size if image_size is not None else _cover(faces, sizes)))
     face, level = _positives(faces, layers, _windows(faces, layers, iou_threshold), iou_threshold)
     level_hit = np.zeros((faces.shape[0], len(config.levels)), dtype=bool)
     level_hit[face, level] = True
@@ -209,7 +187,8 @@ def _census_tally(
         return tally
     block = max(1, _PASS_CELLS // (n_faces * n_levels))
     for b0 in range(0, n_configs, block):
-        layers = _layers(faces, sizes[b0 : b0 + block], image_size)
+        block_sizes = sizes[b0 : b0 + block]
+        layers = _lattice(block_sizes, *(image_size if image_size is not None else _cover(faces, block_sizes)))
         windows = _windows(faces, layers, iou_threshold)
         n = layers[0].size // n_levels
         per = np.maximum(windows[3] - windows[2] + 1, 0) * np.maximum(windows[5] - windows[4] + 1, 0)

@@ -6,7 +6,6 @@ from hambox.anchors import (
     cover_image_size,
     default_hambox_config,
     generate_anchors,
-    grid_shape,
 )
 
 
@@ -96,8 +95,9 @@ class TestGenerateAnchors:
     def test_non_square_image(self):
         cfg = AnchorConfig(levels=((4, 16), (8, 32)))
         grid = generate_anchors(cfg, 30, 17)
-        assert grid_shape(4, 30, 17) == (5, 8)
-        assert grid_shape(8, 30, 17) == (3, 4)
+        *_, rows, cols, start = grid._layout
+        assert rows.tolist() == [5, 3] and cols.tolist() == [8, 4]
+        assert start.tolist() == [0, 5 * 8]
         assert len(grid) == 5 * 8 + 3 * 4
 
     def test_aspect_ratio_scales_height(self):

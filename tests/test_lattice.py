@@ -6,9 +6,10 @@ by hand. `mine_image`'s windowed search of noisy regressed boxes must
 return exactly `overlaps` on `simulate_regression`. `generate_anchors` must
 keep the boxes of the meshgrid layout it was first written with, which is
 kept here as the reference, and a lattice grid's `boxes_at` and `levels_at`
-must equal those rows of it. Noise-free `assign`, which keeps state only on
-the anchors that meet a face, must write what the public dense functions
-give.
+must equal those rows of it. The stacked layout and cover that the census
+reads must equal the one-config grids. Noise-free `assign`, which keeps
+state only on the anchors that meet a face, must write what the public
+dense functions give.
 """
 
 import math
@@ -24,6 +25,8 @@ from hambox import simulator
 from hambox.anchors import (
     AnchorConfig,
     AnchorGrid,
+    _cover,
+    _lattice,
     cover_image_size,
     default_hambox_config,
     generate_anchors,
@@ -77,8 +80,8 @@ def assert_same_pairs(got, want):
 
 
 @st.composite
-def configs(draw):
-    n = draw(st.integers(1, 6))
+def configs(draw, n_levels=st.integers(1, 6)):
+    n = draw(n_levels)
     strides = np.cumsum(draw(st.lists(st.floats(1.0, 24.0), min_size=n, max_size=n)))
     if draw(st.booleans()):
         strides = np.ceil(strides)  # integer strides, as the CLI's defaults
@@ -217,6 +220,12 @@ class TestNoisyRegressedSearch:
         assert got.faces_matched_cpbb_post_nms == 0
 
 
+# One to four configs with the same number of levels, as a scale-ratio sweep stacks them.
+stacked_configs = st.integers(1, 6).flatmap(
+    lambda n: st.lists(configs(st.just(n)).filter(lambda c: len(c.levels) == n), min_size=1, max_size=4)
+)
+
+
 def assert_meshgrid_layout(config, image_w, image_h):
     grid = generate_anchors(config, image_w, image_h)
     for got, want in zip((grid.boxes, grid.level_of, grid.cell_of), meshgrid_anchors(config, image_w, image_h)):
@@ -254,6 +263,32 @@ class TestGenerateAnchors:
     def test_cover_size_equals_level_loop(self, config, coords):
         faces = np.array(coords[: len(coords) // 4 * 4], dtype=np.float64).reshape(-1, 4)
         assert cover_image_size(faces, config) == loop_cover_size(faces, config)
+
+    @given(stacked_configs, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_lattice_equals_one_config_layouts(self, cfgs, data):
+        sizes = [(data.draw(image_side), data.draw(image_side)) for _ in cfgs]
+        w, h = (np.array(v, dtype=np.float64)[:, None] for v in zip(*sizes))
+        stacked = _lattice(np.array([c._sizes for c in cfgs]), w, h)
+        n_levels, first = len(cfgs[0].levels), 0
+        for k, (config, size) in enumerate(zip(cfgs, sizes)):
+            grid = generate_anchors(config, *size)
+            layers = slice(k * n_levels, (k + 1) * n_levels)
+            for got, want in zip(stacked, grid._layout[:5] + (grid._layout[5] + first,)):
+                assert got.dtype == want.dtype and np.array_equal(got[layers], want)
+            first += len(grid)
+        assert all(a.size == len(cfgs) * n_levels for a in stacked)
+
+    @given(stacked_configs, st.lists(st.floats(-50.0, 2000.0), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_cover_equals_cover_image_size(self, cfgs, coords):
+        faces = np.array(coords[: len(coords) // 4 * 4], dtype=np.float64).reshape(-1, 4)
+        w, h = _cover(faces, np.array([c._sizes for c in cfgs]))
+        assert w.shape == h.shape == (len(cfgs), 1)
+        assert np.array_equal(w, np.floor(w)) and np.array_equal(h, np.floor(h))
+        assert list(zip(w.ravel().astype(int).tolist(), h.ravel().astype(int).tolist())) == [
+            cover_image_size(faces, c) for c in cfgs
+        ]
 
 
 def face_line(k):

@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from hambox.anchors import AnchorConfig, default_hambox_config, generate_anchors
 from hambox.assignment import SOURCE_HAMBOX, MatchParams, match_first_step
 from hambox.geometry import elementwise_iou, pairwise_iou
+from hambox.ingest import SimulatorSettings
 from hambox.losses import LossParams
 from hambox.mining import CompensationParams, compensate, compute_quality, ignore_mask
 from hambox.simulator import (
@@ -17,6 +20,22 @@ from hambox.simulator import (
 
 def two_level_grid(image=128):
     return generate_anchors(AnchorConfig(levels=((8, 16), (16, 32)), scale_ratio=0.68), image, image)
+
+
+class TestRegressorModel:
+    def test_defaults_are_the_settings_defaults(self):
+        model, sim = RegressorModel(), SimulatorSettings()
+        assert (model.q, model.noise_sigma, model.seed) == (sim.q, sim.noise_sigma, sim.seed)
+        defaults = inspect.signature(run_simulation).parameters
+        assert defaults["scorer_scale"].default == sim.score_scale
+        assert defaults["scorer_bias"].default == sim.score_bias
+
+    @pytest.mark.parametrize(
+        "kwargs, message", [({"seed": -1}, "seed"), ({"q": 1.5}, "q must"), ({"noise_sigma": -0.1}, "noise_sigma")]
+    )
+    def test_bad_settings_raise_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RegressorModel(**kwargs)
 
 
 class TestSimulateRegression:

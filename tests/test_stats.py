@@ -87,6 +87,16 @@ class TestDatasetCensus:
         assert census.matched_faces == matched
         np.testing.assert_array_equal(census.matched_faces_per_level, per_level)
 
+    def test_faces_outside_the_image_have_no_positives(self):
+        """A face wholly past the image on either side gets an empty window on every level."""
+        config = AnchorConfig(levels=((4, 16), (8, 32)), scale_ratio=1.0, aspect_ratio=1.25)
+        records = [record([(300.0, 250.0, 316.0, 270.0), (-90.0, -70.0, -74.0, -50.0)])]
+        census = dataset_census(records, config, 0.35, image_sizes=[(64, 48)])
+        total, matched, positives, per_level = dense_census(records, config, 0.35, [(64, 48)])
+        assert (census.total_faces, census.matched_faces, census.total_positives) == (2, 0, 0)
+        assert (total, matched, positives) == (2, 0, 0)
+        np.testing.assert_array_equal(census.matched_faces_per_level, per_level)
+
     def test_invalid_and_degenerate_faces_excluded(self):
         records = [
             record(

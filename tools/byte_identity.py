@@ -66,6 +66,10 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
 
     tall_ini = ini("tall.ini", "[anchors]\nstrides = 6, 12, 24, 48\nbase_scales = 20, 44, 90, 170\n"
                    "aspect_ratio = 1.3\n[match]\niou_threshold = 0.6\n")
+    # Fractional strides: every window bound divides inexactly, on the census and the grid paths.
+    frac_ini = ini("frac.ini", "[anchors]\nstrides = 3.5, 7.25, 14.5\nbase_scales = 11, 23.5, 47\n")
+    # `assign` runs one iteration at q and leaves the ramp to `simulate`.
+    ramp_ini = ini("ramp.ini", "[simulator]\nq = 0.7\nquality_ramp = 0.1:0.95\n")
 
     runs = [
         ("anchors-640", ["anchors"]),
@@ -79,6 +83,9 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
         # The crowd-assign file at 301 ratios: its 150- and 200-face images take several census passes each.
         ("match-stats-crowd-fine", ["match-stats", "--annotations", crowd, "--ratios", "0.4:1.0:0.002"]),
         ("match-stats-tall", ["--config", tall_ini, "match-stats", "--annotations", small, "--ratios", "0.5:1.5:0.25"]),
+        ("match-stats-frac", ["--config", frac_ini, "match-stats", "--annotations", small, "--ratios", "0.4:1.6:0.05"]),
+        ("match-stats-frac-crowd", ["--config", frac_ini, "match-stats", "--annotations", crowd,
+                                    "--ratios", "0.5:1.0:0.1"]),
         ("match-stats-bad-ratio", ["match-stats", "--annotations", small, "--ratios", "1:0:1"]),
         ("simulate-synthetic", ["--seed", "4", "simulate", "--synthetic-images", "3", "--iters", "3", "--provenance"]),
         ("simulate-threads", ["--seed", "4", "--threads", "2", "simulate", "--synthetic-images", "3", "--iters", "2"]),
@@ -101,6 +108,13 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
         for strategy in STRATEGIES:
             runs.append((f"assign-{name}-{strategy}", ["--config", ini_path, "--seed", "2", "assign",
                                                         "--annotations", small, "--strategy", strategy]))
+    for strategy in ("sms", "hambox"):
+        runs.append((f"assign-frac-{strategy}", ["--config", frac_ini, "--seed", "3", "assign", "--annotations", small,
+                                                 "--strategy", strategy]))
+    runs.append(("assign-frac-crowd-hambox", ["--config", frac_ini, "assign", "--annotations", crowd,
+                                              "--strategy", "hambox"]))
+    runs.append(("assign-ramp-hambox", ["--config", ramp_ini, "--seed", "4", "assign", "--annotations", small,
+                                        "--strategy", "hambox"]))
     # The crowd-assign file: 150- and 200-face images.
     runs.append(("assign-crowd-sms", ["assign", "--annotations", crowd, "--strategy", "sms"]))
     runs.append(("assign-crowd-hambox-t2", ["--threads", "2", "assign", "--annotations", crowd, "--strategy", "hambox"]))
