@@ -162,13 +162,17 @@ def _lattice(sizes: np.ndarray, image_w, image_h) -> tuple[np.ndarray, ...]:
     return strides.ravel(), aw.ravel(), ah.ravel(), rows, cols, np.cumsum(rows * cols) - rows * cols
 
 
-def _cover(faces: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per stacked config of `sizes` (K, 3, L), the width and height of `cover_image_size`, as (K, 1) floats."""
+def _cover(top: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per image and stacked config of `sizes` (K, 3, L), the width and height of `cover_image_size`.
+
+    `top` (B, 2) holds each image's largest face x1 and y1 (-inf for an
+    image without faces). Returns (B * K, 1) floats, image-major, in the
+    order `_lattice` stacks an image's configs.
+    """
     strides, aw, ah = sizes.transpose(1, 0, 2)
-    top = faces.max(axis=0, initial=-np.inf)
-    w = np.ceil(np.maximum(top[2] + (strides + aw / 2.0).max(axis=1, keepdims=True), strides[:, -1:]))
-    h = np.ceil(np.maximum(top[3] + (strides + ah / 2.0).max(axis=1, keepdims=True), strides[:, -1:]))
-    return w, h
+    w = np.ceil(np.maximum(top[:, :1] + (strides + aw / 2.0).max(axis=1), strides[:, -1]))
+    h = np.ceil(np.maximum(top[:, 1:] + (strides + ah / 2.0).max(axis=1), strides[:, -1]))
+    return w.reshape(-1, 1), h.reshape(-1, 1)
 
 
 def _extent(cell, stride, half):
@@ -247,7 +251,9 @@ def _window_candidates(
     level's anchors move by up to ``reach[level, 0]`` and every y coordinate
     by up to ``reach[level, 1]``; the window then holds every anchor whose
     moved box can meet the face. Windows are widened by one cell on every
-    side so that rounding in the bound never drops an anchor. Candidates
+    side so that rounding in the bound never drops an anchor: a face that
+    meets an anchor by one ulp can round its bound one cell short (the
+    example of `test_grid_overlaps_keeps_one_ulp_overlaps`). Candidates
     come per face in index order, then row-major per level, so the faces of
     one anchor come in ascending order. Work is O(faces x levels +
     candidates). With `limit`, windows that hold more candidates than that
@@ -305,7 +311,7 @@ def cover_image_size(face_boxes: np.ndarray, config: AnchorConfig) -> tuple[int,
     contains every anchor with positive overlap against any listed face, so
     match results equal those on any larger grid.
     """
-    w, h = _cover(as_box_array(face_boxes), config._sizes[None])
+    w, h = _cover(as_box_array(face_boxes).max(axis=0, initial=-np.inf)[None, 2:], config._sizes[None])
     return int(w.item()), int(h.item())
 
 

@@ -171,8 +171,10 @@ def cmd_match_stats(args: argparse.Namespace, cfg: ToolConfig) -> int:
 _SOURCE_LABELS = np.array([SOURCE_NAMES[code] for code in sorted(SOURCE_NAMES)])
 
 
-def _assign_image(record: ImageRecord, cfg: ToolConfig, stream: int) -> str:
+def _assign_image(record: ImageRecord, cfg: ToolConfig, model: RegressorModel, stream: int) -> str:
     """The image's `assign.csv` rows: its positives, then (hambox) its ignored anchors.
+
+    `model` regresses the anchors under hambox; other strategies ignore it.
 
     The rows of the work are the anchors that meet a face (`_pair_rows`), so
     nothing of the grid's size is built, except for hambox with noise: the
@@ -180,14 +182,12 @@ def _assign_image(record: ImageRecord, cfg: ToolConfig, stream: int) -> str:
     """
     faces = record.face_boxes()
     grid = generate_anchors(cfg.anchors, *cover_image_size(faces, cfg.anchors))
-    sim = cfg.simulator
-    if cfg.strategy == "hambox" and sim.noise_sigma > 0.0:
+    if cfg.strategy == "hambox" and model.noise_sigma > 0.0:
         anchors, boxes, pairs = np.arange(len(grid)), grid.boxes, grid_overlaps(grid, faces)
     else:
         anchors, boxes, pairs = _pair_rows(grid, faces)
     mined = None
     if cfg.strategy == "hambox":  # compensation against simulated predictions
-        model = RegressorModel(q=sim.q, noise_sigma=sim.noise_sigma, seed=sim.seed)
         mined = next(_mine_rows(grid, boxes, faces, pairs, model, 1, stream, cfg.match, cfg.compensation))
         assignment = mined.assigned
     else:
@@ -217,7 +217,8 @@ def _assign_image(record: ImageRecord, cfg: ToolConfig, stream: int) -> str:
 
 def cmd_assign(args: argparse.Namespace, cfg: ToolConfig) -> int:
     records = _load_dataset(cfg.data)
-    blocks = _map_images(lambda i: _assign_image(records[i], cfg, i), len(records), args.threads)
+    model = RegressorModel.from_settings(cfg.simulator)
+    blocks = _map_images(lambda i: _assign_image(records[i], cfg, model, i), len(records), args.threads)
     return _emit(args.out, cfg, {"assign.csv": "image,anchor,level,label,face,source,iou\n" + "".join(blocks)})
 
 
@@ -232,7 +233,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: ToolConfig) -> int:
     ramp = None
     if sim.quality_ramp is not None:
         ramp = linear_ramp(sim.quality_ramp[0], sim.quality_ramp[1], args.iters)
-    model = RegressorModel(q=sim.q, noise_sigma=sim.noise_sigma, seed=sim.seed, quality_ramp=ramp)
+    model = RegressorModel.from_settings(sim, ramp)
     records, report = run_simulation(
         dataset,
         cfg.anchors,

@@ -69,6 +69,13 @@ class RegressorModel:
     def __post_init__(self) -> None:
         SimulatorSettings(q=self.q, noise_sigma=self.noise_sigma, seed=self.seed)
 
+    @classmethod
+    def from_settings(
+        cls, sim: SimulatorSettings, quality_ramp: Callable[[int], float] | None = None
+    ) -> "RegressorModel":
+        """The model of a config's `[simulator]` section, with q per iteration from `quality_ramp` when given."""
+        return cls(q=sim.q, noise_sigma=sim.noise_sigma, seed=sim.seed, quality_ramp=quality_ramp)
+
     def q_at(self, iteration: int) -> float:
         q = self.quality_ramp(iteration) if self.quality_ramp is not None else self.q
         return float(min(1.0, max(0.0, q)))

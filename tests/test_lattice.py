@@ -283,7 +283,7 @@ class TestGenerateAnchors:
     @settings(max_examples=150, deadline=None)
     def test_stacked_cover_equals_cover_image_size(self, cfgs, coords):
         faces = np.array(coords[: len(coords) // 4 * 4], dtype=np.float64).reshape(-1, 4)
-        w, h = _cover(faces, np.array([c._sizes for c in cfgs]))
+        w, h = _cover(faces.max(axis=0, initial=-np.inf)[None, 2:], np.array([c._sizes for c in cfgs]))
         assert w.shape == h.shape == (len(cfgs), 1)
         assert np.array_equal(w, np.floor(w)) and np.array_equal(h, np.floor(h))
         assert list(zip(w.ravel().astype(int).tolist(), h.ravel().astype(int).tolist())) == [
@@ -401,4 +401,5 @@ class TestSparseAssign:
         record, cfg, stream = case
         for strategy in ("sms", "dms", "nams", "hambox"):
             cfg = replace(cfg, strategy=strategy)
-            assert _assign_image(record, cfg, stream) == dense_block(record, cfg, stream), strategy
+            model = RegressorModel.from_settings(cfg.simulator)
+            assert _assign_image(record, cfg, model, stream) == dense_block(record, cfg, stream), strategy

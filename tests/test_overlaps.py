@@ -9,10 +9,10 @@ oracles judge the instances small enough for them.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hambox.anchors import AnchorConfig, AnchorGrid, default_hambox_config, generate_anchors
+from hambox.anchors import AnchorConfig, AnchorGrid, default_hambox_config, generate_anchors, grid_overlaps
 from hambox.assignment import (
     BACKGROUND,
     MatchParams,
@@ -130,6 +130,42 @@ def float_boxes(draw, max_n):
     side = st.floats(-5.0, 300.0, allow_nan=False)
     rows = draw(st.lists(st.tuples(coord, coord, side, side), max_size=max_n))
     return np.array([(x, y, x + w, y + h) for x, y, w, h in rows], dtype=np.float64).reshape(-1, 4)
+
+
+@st.composite
+def ulp_edge_cases(draw):
+    """A one-level lattice with a fractional stride, and faces that overlap an anchor by one ulp on one axis."""
+    config = AnchorConfig(levels=((draw(st.floats(0.1, 8.0)), draw(st.floats(1.0, 40.0))),),
+                          scale_ratio=draw(st.floats(0.3, 1.5)))
+    grid = generate_anchors(config, draw(st.floats(1.0, 40.0)), draw(st.floats(1.0, 40.0)))
+    faces = []
+    for _ in range(draw(st.integers(1, 4))):
+        box = grid.boxes[draw(st.integers(0, len(grid) - 1))].tolist()
+        axis, reach = draw(st.integers(0, 1)), draw(st.floats(0.5, 30.0))
+        if draw(st.booleans()):  # ends one ulp past the anchor's low edge
+            box[axis], box[axis + 2] = box[axis] - reach, np.nextafter(box[axis], np.inf)
+        else:  # starts one ulp before its high edge
+            box[axis], box[axis + 2] = np.nextafter(box[axis + 2], -np.inf), box[axis + 2] + reach
+        faces.append(box)
+    return grid, np.array(faces)
+
+
+# A face that meets the anchors of column 3 by one ulp. Their cell lies one
+# past the window bound as computed: without its one-cell pad,
+# `_window_candidates` drops them.
+ULP_GRID = generate_anchors(AnchorConfig(levels=((0.3, 11.0),), scale_ratio=0.301), 6, 2)
+ULP_FACES = np.array([[-5.0, 0.0, -0.6055, 1.0]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ulp_edge_cases())
+@example((ULP_GRID, ULP_FACES))
+def test_grid_overlaps_keeps_one_ulp_overlaps(case):
+    grid, faces = case
+    got, want = grid_overlaps(grid, faces), overlaps(grid.boxes, faces)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    if faces is ULP_FACES:
+        assert np.count_nonzero(grid.boxes[want.box, 0] == -0.6055000000000001) == 7
 
 
 class TestOverlapsMatchesDense:

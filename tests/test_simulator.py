@@ -30,6 +30,13 @@ class TestRegressorModel:
         assert defaults["scorer_scale"].default == sim.score_scale
         assert defaults["scorer_bias"].default == sim.score_bias
 
+    def test_from_settings_takes_the_section_and_a_ramp(self):
+        sim = SimulatorSettings(q=0.7, noise_sigma=0.2, seed=3, quality_ramp=(0.1, 0.9))
+        ramp = linear_ramp(0.1, 0.9, 5)
+        model = RegressorModel.from_settings(sim, ramp)
+        assert (model.q, model.noise_sigma, model.seed, model.quality_ramp) == (0.7, 0.2, 3, ramp)
+        assert RegressorModel.from_settings(sim).quality_ramp is None
+
     @pytest.mark.parametrize(
         "kwargs, message", [({"seed": -1}, "seed"), ({"q": 1.5}, "q must"), ({"noise_sigma": -0.1}, "noise_sigma")]
     )

@@ -3,17 +3,18 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hambox import stats
 from hambox.anchors import AnchorConfig, AnchorGrid, cover_image_size, generate_anchors
 from hambox.assignment import MatchParams, match_first_step
-from hambox.geometry import Box
+from hambox.geometry import Box, pairwise_iou
 from hambox.ingest import FaceAnnotation, ImageRecord, filter_valid
 from hambox.mining import compute_quality
 from hambox.stats import (
     EmptyDatasetError,
+    _census,
     _census_tally,
     _image_census,
     combine_reports,
@@ -249,6 +250,129 @@ def test_valid_face_boxes_equals_filter_valid(faces):
     got = valid_face_boxes(rec)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
+
+
+# A face that meets one column of anchors by one ulp: below a threshold as
+# small as their IoU, only windows widened for rounding keep them.
+ULP_CASE = (np.array([[-5.0, 0.0, -0.6055, 1.0]]), AnchorConfig(levels=((0.3, 11.0),), scale_ratio=0.301), (6, 2), None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=census_case(), pick=st.floats(0.0, 1.0))
+@example(case=ULP_CASE, pick=0.0)
+def test_census_at_a_threshold_some_anchor_meets_exactly(case, pick):
+    """The threshold is one of the dense matcher's own IoUs, so some anchor sits exactly at it."""
+    faces, config, size, _ = case
+    grid = generate_anchors(config, *size)
+    ious = np.unique(pairwise_iou(grid.boxes, faces))
+    ious = ious[ious > 0.0]
+    assume(ious.size > 0)
+    threshold = float(ious[round(pick * (ious.size - 1))])
+    a = match_first_step(grid, faces, MatchParams(iou_threshold=threshold))
+    counts, level_hit = _image_census(faces, config, threshold, size)
+    np.testing.assert_array_equal(counts, a.matched_count)
+    pos = a.face_of >= 0
+    assert level_hit.sum() == np.unique(a.face_of[pos] * len(config.levels) + grid.level_of[pos]).size
+    tally = _census_tally(faces, config._sizes[None], threshold, size)
+    assert tally[0, :3].tolist() == [faces.shape[0], np.count_nonzero(counts), counts.sum()]
+
+
+def test_images_with_equal_faces_count_only_their_own_anchors():
+    """Two images with the same faces share a block; each counts only its own anchors."""
+    faces = [(10, 12, 40, 44), (11, 12, 41, 44), (100, 90, 130, 121)]
+    records = [record(faces, path="a.jpg"), record(faces, path="b.jpg")]
+    config = AnchorConfig(levels=((4, 16), (8, 32), (16, 64)), scale_ratio=0.68)
+    assert len(stats._blocks(records, len(config.levels))) == 1
+    for sizes in (None, [(160, 140), (160, 140)]):
+        pair = dataset_census(records, config, 0.35, image_sizes=sizes)
+        one = dataset_census(records[:1], config, 0.35, image_sizes=sizes and sizes[:1])
+        assert one.total_positives > 0
+        assert (pair.total_faces, pair.matched_faces, pair.total_positives) == (
+            2 * one.total_faces, 2 * one.matched_faces, 2 * one.total_positives)
+        np.testing.assert_array_equal(pair.matched_faces_per_level, 2 * one.matched_faces_per_level)
+        total, matched, positives, per_level = dense_census(
+            records, config, 0.35, sizes or [cover_image_size(valid_face_boxes(records[0]), config)] * 2
+        )
+        assert (pair.matched_faces, pair.total_positives) == (matched, positives)
+        np.testing.assert_array_equal(pair.matched_faces_per_level, per_level)
+
+
+def test_block_whose_anchors_overflow_int64_is_halved():
+    """Two images of 2^62 anchors each fit one block by faces, but not one int64 index."""
+    config = AnchorConfig(levels=((1.0, 1.0),))
+    far = 2.0**31 - 2.0  # the cover grid is 2^31 x 2^31
+    records = [record([(far - 1.0, far - 1.0, far, far)], path=f"{i}.jpg") for i in range(2)]
+    assert len(stats._blocks(records, 1)) == 1
+    both, one = dataset_census(records, config, 0.5), dataset_census(records[:1], config, 0.5)
+    assert (both.matched_faces, both.total_positives) == (2, 2) == (2 * one.matched_faces, 2 * one.total_positives)
+
+
+@st.composite
+def dataset_case(draw):
+    """Two to six images of zero to four faces each, some invalid, with or without image sizes, under a sweep."""
+    n_images = draw(st.integers(2, 6))
+    cases = [draw(census_case(min_faces=0)) for _ in range(n_images)]
+    config, threshold = cases[0][1], cases[0][3]
+    configs = [config.with_scale_ratio(r) for r in draw(st.lists(st.floats(0.3, 1.5), min_size=1, max_size=4))]
+    records = [
+        record(faces[:4].tolist(), path=f"{i}.jpg", invalid=[draw(st.sampled_from([0, 0, 1])) for _ in faces[:4]])
+        for i, (faces, *_) in enumerate(cases)
+    ]
+    sizes = draw(st.none() | st.just([(100, 90 + i) for i in range(n_images)]))
+    return records, configs, sizes, threshold
+
+
+@pytest.mark.parametrize("budget", [1, 7, 100])
+@settings(max_examples=30, deadline=None)
+@given(case=dataset_case())
+def test_census_equals_sum_of_image_tallies(budget, case):
+    """Blocks of images, whatever their split, count what the images count one by one."""
+    records, configs, sizes, threshold = case
+    stacked = np.array([c._sizes for c in configs])
+    want = sum(
+        _census_tally(valid_face_boxes(rec), stacked, threshold, sizes and sizes[i]) for i, rec in enumerate(records)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_PASS_CELLS", budget)
+        got = _census(records, configs, threshold, sizes, threads=1)
+    for row, census in zip(want, got):
+        assert row.tolist() == [
+            census.total_faces, census.matched_faces, census.total_positives, *census.matched_faces_per_level
+        ]
+
+
+def census_records(n_images):
+    """`n_images` generated images of 1 to 8 faces, 4 to 300 px, on 1024 x 768 canvases."""
+    rng = np.random.default_rng(0)
+    records = []
+    for i in range(n_images):
+        side = np.exp(rng.uniform(np.log(4.0), np.log(300.0), size=(1 + i % 8, 1)))
+        corner = rng.uniform(0.0, 1.0, size=(side.shape[0], 2)) * ([1024.0, 768.0] - side)
+        records.append(record(np.hstack([corner, corner + side]).tolist(), path=f"{i}.jpg"))
+    return records
+
+
+def test_census_memory_flat_in_image_count():
+    """The census keeps O(one block) of work arrays, however many images it walks.
+
+    At 64 ratios even the 20 images fill several blocks. Each block's tally
+    kept to the end would add about 0.45 MB at 400 images, and each image's
+    about 1.8 MB. What does grow is about 80 bytes per image, among them
+    the blocks' references to their records.
+    """
+    config = AnchorConfig(levels=((4, 16), (8, 32), (16, 64), (32, 128), (64, 256), (128, 512)))
+    ratios = np.linspace(0.4, 1.0, 64).tolist()
+    scale_ratio_sweep(census_records(20), config, ratios, 0.35)
+    peaks = []
+    for n in (20, 400):
+        records = census_records(n)
+        tracemalloc.start()
+        try:
+            scale_ratio_sweep(records, config, ratios, 0.35)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 * 2**10, peaks
 
 
 class CountingRecords(Sequence):

@@ -70,6 +70,9 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     frac_ini = ini("frac.ini", "[anchors]\nstrides = 3.5, 7.25, 14.5\nbase_scales = 11, 23.5, 47\n")
     # `assign` runs one iteration at q and leaves the ramp to `simulate`.
     ramp_ini = ini("ramp.ini", "[simulator]\nq = 0.7\nquality_ramp = 0.1:0.95\n")
+    # The census's threshold windows at their extremes: almost the overlap window, and exact matches only.
+    low_ini = ini("iou_low.ini", "[match]\niou_threshold = 0.01\n")
+    high_ini = ini("iou_high.ini", "[match]\niou_threshold = 1.0\n")
 
     runs = [
         ("anchors-640", ["anchors"]),
@@ -87,6 +90,14 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
         ("match-stats-frac-crowd", ["--config", frac_ini, "match-stats", "--annotations", crowd,
                                     "--ratios", "0.5:1.0:0.1"]),
         ("match-stats-bad-ratio", ["match-stats", "--annotations", small, "--ratios", "1:0:1"]),
+        ("match-stats-iou-low", ["--config", low_ini, "match-stats", "--annotations", small,
+                                 "--ratios", "0.3:1.5:0.1"]),
+        ("match-stats-iou-high", ["--config", high_ini, "match-stats", "--annotations", small,
+                                  "--ratios", "0.3:1.5:0.1"]),
+        ("match-stats-crowd-iou-low", ["--config", low_ini, "match-stats", "--annotations", crowd,
+                                       "--ratios", "0.4:1.0:0.05"]),
+        ("match-stats-crowd-iou-high", ["--config", high_ini, "match-stats", "--annotations", crowd,
+                                        "--ratios", "0.4:1.0:0.05"]),
         ("simulate-synthetic", ["--seed", "4", "simulate", "--synthetic-images", "3", "--iters", "3", "--provenance"]),
         ("simulate-threads", ["--seed", "4", "--threads", "2", "simulate", "--synthetic-images", "3", "--iters", "2"]),
         ("simulate-annotations", ["--seed", "2", "simulate", "--annotations", small, "--iters", "2", "--provenance"]),
