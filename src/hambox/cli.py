@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .anchors import _pair_rows, cover_image_size, generate_anchors, grid_overlaps
+from .anchors import _pair_rows, cover_image_size, generate_anchors
 from .assignment import _ROW_MATCHERS, SOURCE_NAMES, SOURCE_STEP1
 from .geometry import elementwise_iou
 from .ingest import (
@@ -176,19 +176,17 @@ def _assign_image(record: ImageRecord, cfg: ToolConfig, model: RegressorModel, s
 
     `model` regresses the anchors under hambox; other strategies ignore it.
 
-    The rows of the work are the anchors that meet a face (`_pair_rows`), so
-    nothing of the grid's size is built, except for hambox with noise: the
-    noise is drawn for every anchor, so every anchor is a row.
+    The rows of the work are the anchors that meet a face (`_pair_rows`),
+    and under hambox with noise also the anchors that jitter can carry onto
+    a face (`_mine_rows`). Nothing of the grid's size is built but the
+    noise draw and its bound.
     """
     faces = record.face_boxes()
     grid = generate_anchors(cfg.anchors, *cover_image_size(faces, cfg.anchors))
-    if cfg.strategy == "hambox" and model.noise_sigma > 0.0:
-        anchors, boxes, pairs = np.arange(len(grid)), grid.boxes, grid_overlaps(grid, faces)
-    else:
-        anchors, boxes, pairs = _pair_rows(grid, faces)
+    rows, boxes, pairs = _pair_rows(grid, faces)
     mined = None
     if cfg.strategy == "hambox":  # compensation against simulated predictions
-        mined = next(_mine_rows(grid, boxes, faces, pairs, model, 1, stream, cfg.match, cfg.compensation))
+        rows, mined = next(_mine_rows(grid, rows, boxes, pairs, faces, model, 1, stream, cfg.match, cfg.compensation))
         assignment = mined.assigned
     else:
         assignment = _ROW_MATCHERS[cfg.strategy](boxes, faces, pairs, cfg.match)
@@ -196,21 +194,21 @@ def _assign_image(record: ImageRecord, cfg: ToolConfig, model: RegressorModel, s
     pos = np.flatnonzero(assignment.positive)
     source = assignment.source[pos]
     face = assignment.face_of[pos]
+    anchor = rows[pos]
     # A positive's IoU is that of the box that earned it: the anchor, or its
     # regressed box when compensated online.
-    boxes = boxes[pos]
+    boxes = grid.boxes_at(anchor)
     if mined is not None:
         comp = source > SOURCE_STEP1
         boxes[comp] = mined.regressed[pos[comp]]
     path = record.path.replace("{", "{{").replace("}", "}}")
-    anchor = anchors[pos]
     text = _rows(
         path + ",{},{},positive,{},{},{:.10g}",
         anchor, grid.levels_at(anchor), face, _SOURCE_LABELS[source], elementwise_iou(boxes, faces[face]),
     )
     if mined is not None:
         ign = np.flatnonzero(mined.ignore)
-        anchor = anchors[ign]
+        anchor = rows[ign]
         text += _rows(path + ",{},{},ignore,,none,{:.10g}", anchor, grid.levels_at(anchor), mined.quality.F[ign])
     return text
 

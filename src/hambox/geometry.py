@@ -118,6 +118,11 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
       face expands into every cell where the top-left corner of a box that
       overlaps it can lie: the cells it covers plus one column to the left
       and one row above;
+    * a face outside the boxes' extent is dropped, and the others' spans
+      are clipped to the bounding box of the boxes' top-left corners, where
+      every such cell lies, so a face far longer than that extent (1e300
+      px, say) costs what one spanning it costs; IoUs are scored on the
+      real face;
     * the cell doubles while the faces' cells, or the window they span,
       exceed 4 per box of the class plus 9 per face, so tiny or sparse
       classes stay cheap. It starts at the larger of the class's side and
@@ -130,16 +135,23 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
     """
     boxes = as_box_array(boxes)
     faces = as_box_array(faces)
+    box, face = _candidates(boxes, faces)
+    return _scored(boxes.take(box, axis=0), faces, box, face)
+
+
+def _candidates(boxes: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (box, face) candidate pairs of `overlaps`: each pair with IoU > 0 among them once.
+
+    A box's candidates come in ascending face order, as `_scored` needs them.
+    """
     bw, bh = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
     fw, fh = faces[:, 2] - faces[:, 0], faces[:, 3] - faces[:, 1]
     bi = np.flatnonzero((bw > 0.0) & (bh > 0.0) & np.isfinite(bw * bh))
     fi = np.flatnonzero((fw > 0.0) & (fh > 0.0) & np.isfinite(fw * fh))
     if bi.size == 0 or fi.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return Overlaps(empty, empty, np.zeros(0))
+        return bi[:0], fi[:0]
     if bi.size * fi.size <= 4 * bi.size + 9 * fi.size:
-        box = np.repeat(bi, fi.size)
-        return _scored(boxes.take(box, axis=0), faces, box, np.tile(fi, bi.size))
+        return np.repeat(bi, fi.size), np.tile(fi, bi.size)
     exps = np.frexp(np.maximum(bw[bi], bh[bi]))[1]  # side < 2**exp
     present = np.bincount(exps - exps.min()) > 0
     cls_of = (np.cumsum(present) - 1)[exps - exps.min()]
@@ -154,7 +166,19 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
     offset = np.zeros(n_cls, dtype=np.int64)
     f_keys, f_ids = [], []
     n_keys = 0
+    # A face that ends before every box starts, or starts after every box
+    # ends, meets none. The others need cells only where the boxes' top-left
+    # corners lie, so their spans are clipped to the corners' bounding box;
+    # IoUs are scored on the real faces.
+    bx, by = boxes[bi, 0], boxes[bi, 1]
+    lo, hi = [bx.min(), by.min()] * 2, [bx.max(), by.max()] * 2
     live = faces[fi]
+    near = (live[:, 2] > lo[0]) & (live[:, 3] > lo[1])
+    side = np.ldexp(1.0, exps.max())  # above every box's width and height
+    near &= (live[:, 0] < hi[0] + side) & (live[:, 1] < hi[1] + side)
+    fi, live = fi[near], np.clip(live[near], lo, hi)
+    if fi.size == 0:
+        return bi[:0], fi
     lo_x, lo_y, hi_x, hi_y = live[:, 0].min(), live[:, 1].min(), live[:, 2].max(), live[:, 3].max()
     for k in range(n_cls):
         budget = 4.0 * n_box[k] + 9.0 * fi.size
@@ -190,8 +214,8 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
     f_start = np.cumsum(f_count) - f_count
 
     # Each box's top-left cell; boxes outside their class window find no face.
-    gx = np.floor(boxes[bi, 0] / cell[cls_of]) - org_x[cls_of]
-    gy = np.floor(boxes[bi, 1] / cell[cls_of]) - org_y[cls_of]
+    gx = np.floor(bx / cell[cls_of]) - org_x[cls_of]
+    gy = np.floor(by / cell[cls_of]) - org_y[cls_of]
     ey = ext_y[cls_of]
     inside = (gx >= 0.0) & (gx < ext_x[cls_of]) & (gy >= 0.0) & (gy < ey)
     key = np.where(inside, offset[cls_of] + gx * ey + gy, float(n_keys)).astype(np.int64)
@@ -200,9 +224,7 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
     n_hit = n_hit[hit]
     box = bi[np.repeat(hit, n_hit)]
     at = np.arange(box.size) - np.repeat(np.cumsum(n_hit) - n_hit, n_hit)
-    face = f_ids[np.repeat(f_start[key[hit]], n_hit) + at]
-
-    return _scored(boxes.take(box, axis=0), faces, box, face)
+    return box, f_ids[np.repeat(f_start[key[hit]], n_hit) + at]
 
 
 def _scored(b: np.ndarray, faces: np.ndarray, box: np.ndarray, face: np.ndarray) -> Overlaps:
@@ -298,6 +320,11 @@ def nms(
     Repeatedly keeps the highest-score remaining box and suppresses remaining
     boxes whose IoU with it exceeds `iou_threshold`. Score ties break toward
     the lower index. Returns kept indices in suppression order.
+
+    The first `_NMS_ROWS` kept boxes each score one IoU row against the
+    boxes left, which is cheapest when the boxes crowd around a few faces.
+    The boxes still left then go through their pair list (`_greedy_pairs`),
+    so work is O(n + overlapping pairs) however many boxes are kept.
     """
     boxes = as_box_array(boxes)
     scores = np.asarray(scores, dtype=np.float64)
@@ -305,18 +332,57 @@ def nms(
         raise ValueError(f"boxes/scores length mismatch: {boxes.shape[0]} vs {scores.shape}")
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    n = boxes.shape[0]
     # Primary key: score descending; secondary: index ascending.
-    order = np.lexsort((np.arange(n), -scores))
+    order = np.lexsort((np.arange(boxes.shape[0]), -scores))
     kept: list[int] = []
-    alive = np.ones(n, dtype=bool)
-    for pos, idx in enumerate(order):
-        if not alive[pos]:
-            continue
+    while order.size and len(kept) < _NMS_ROWS:
+        idx, order = order[0], order[1:]
         kept.append(int(idx))
-        rest = order[pos + 1 :]
-        if rest.size == 0:
-            break
-        overlaps = pairwise_iou(boxes[idx : idx + 1], boxes[rest])[0]
-        alive[pos + 1 :] &= ~(overlaps > iou_threshold)
-    return kept
+        order = order[~(pairwise_iou(boxes[idx : idx + 1], boxes[order])[0] > iou_threshold)]
+    return kept + order[_greedy_pairs(boxes[order], iou_threshold)].tolist()
+
+
+_NMS_ROWS = 64  # kept boxes that score a dense IoU row each
+_NMS_BLOCK = 256  # boxes per pair search in `_greedy_pairs`
+
+
+def _greedy_pairs(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Greedy NMS of boxes taken in their given order; returns the kept rows.
+
+    Each pair of ``overlaps(boxes, boxes)`` whose IoU exceeds the threshold
+    lets its earlier box suppress the later one, and the IoUs are
+    `pairwise_iou`'s, bit for bit. The boxes are searched in blocks of
+    `_NMS_BLOCK`, in order of their power-of-two area class, which bounds
+    the candidates held at once. An IoU is at most the smaller area over
+    the larger, so a block is searched only against the classes that can
+    hold an area ratio of half the threshold or more with it (half, to
+    spare rounding).
+    """
+    n = boxes.shape[0]
+    exp = np.frexp(_area(boxes))[1]
+    by_class = np.argsort(exp, kind="stable")
+    sorted_exp = exp[by_class]
+    reach = np.inf if iou_threshold == 0.0 else 2.0 - np.log2(iou_threshold)
+    first, later = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, n, _NMS_BLOCK):
+        block = by_class[lo : lo + _NMS_BLOCK]
+        near = by_class[
+            np.searchsorted(sorted_exp, sorted_exp[lo] - reach, side="right") :
+            np.searchsorted(sorted_exp, sorted_exp[lo + block.size - 1] + reach, side="left")
+        ]
+        pairs = overlaps(boxes[block], boxes[near])
+        a, b = block[pairs.box], near[pairs.face]
+        hit = (pairs.iou > iou_threshold) & (a < b)
+        first.append(a[hit])
+        later.append(b[hit])
+    first, later = np.concatenate(first), np.concatenate(later)
+    by_first = np.argsort(first, kind="stable")
+    later = later[by_first]
+    bounds = np.searchsorted(first[by_first], np.arange(n + 1))
+    alive = np.ones(n, dtype=bool)
+    kept = []
+    for row in range(n):
+        if alive[row]:
+            kept.append(row)
+            alive[later[bounds[row] : bounds[row + 1]]] = False
+    return np.array(kept, dtype=np.int64)

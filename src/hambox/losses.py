@@ -123,6 +123,27 @@ def regression_aware_cls_loss(
         raise ValueError(
             f"probs cover {probs.shape[0]} anchors, assignment has {assignment.n_anchors}"
         )
+    return _cls_loss(probs, assignment, quality, ignore, params)
+
+
+def _cls_loss(
+    probs: np.ndarray,
+    assignment: Assignment,
+    quality: AnchorQuality,
+    ignore: np.ndarray,
+    params: LossParams,
+    outside: tuple[np.ndarray, int, np.ndarray] | None = None,
+) -> LossBreakdown:
+    """`regression_aware_cls_loss` on rows.
+
+    With `outside` = (rows, n, p), the arguments cover only the anchors
+    `rows` (ascending indices) of n anchors. Every other anchor is
+    background with F = 0, not ignored, and scores the one-element `p`, so
+    each of them adds the same background term. The background sum fills
+    its pool with that term, writes the rows' terms at their places in
+    anchor order and sums the pool: bit-equal to the sum over every anchor,
+    without a focal term per anchor.
+    """
     compensated, step1_pos, background = _pools(assignment, quality, ignore)
     n_com = int(compensated.sum())
     n_norm = int(step1_pos.sum())
@@ -135,7 +156,16 @@ def regression_aware_cls_loss(
     cls_norm = 0.0
     if n_norm:
         fg = np.sum(sigmoid_focal(probs[step1_pos], 1, params))
-        bg = np.sum(sigmoid_focal(probs[background], 0, params))
+        terms = sigmoid_focal(probs[background], 0, params)
+        if outside is not None:
+            rows, n, p = outside
+            at = np.flatnonzero(background)
+            pool = np.full(n - rows.size + at.size, sigmoid_focal(p, 0, params)[0])
+            # A row's place in the pool: the anchors outside the rows before
+            # it (its anchor index less its row), then the pool's rows before it.
+            pool[rows[at] - at + np.arange(at.size)] = terms
+            terms = pool
+        bg = np.sum(terms)
         cls_norm = float((fg + bg) / n_norm)
     return LossBreakdown(cls_compensated=cls_com, cls_normal=cls_norm, n_com=n_com, n_norm=n_norm)
 

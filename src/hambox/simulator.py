@@ -11,6 +11,12 @@ anchors as q ramps up.
 Randomness comes from a counter-based generator keyed by
 (seed, iteration, stream), so outputs are bit-identical regardless of
 evaluation order or thread count.
+
+Mining and the losses run on rows: the anchors that meet a face, plus with
+noise the unpulled anchors that jitter can carry onto one. Every other
+anchor stays background with F = 0 and adds one known loss term. Only the
+noise draw, which the stream fixes for every anchor, and its per-level bound
+(`_jitter_reach`) read every anchor.
 """
 
 from __future__ import annotations
@@ -23,21 +29,24 @@ import numpy as np
 from .anchors import (
     AnchorConfig,
     AnchorGrid,
+    _pair_rows,
     _window_candidates,
     cover_image_size,
     default_hambox_config,
     generate_anchors,
     grid_overlaps,
 )
-from .assignment import SOURCE_HAMBOX, Assignment, MatchParams, first_step_from_overlaps
-from .geometry import Box, Overlaps, _scored, as_box_array, elementwise_iou, encode_boxes, overlaps
-from .ingest import FaceAnnotation, ImageRecord, SimulatorSettings, _map_images
-from .losses import (
-    LossParams,
-    location_loss,
-    regression_aware_cls_loss,
-    sigmoid,
+from .assignment import (
+    BACKGROUND,
+    SOURCE_HAMBOX,
+    SOURCE_NONE,
+    Assignment,
+    MatchParams,
+    first_step_from_overlaps,
 )
+from .geometry import Box, Overlaps, _candidates, _scored, as_box_array, elementwise_iou, encode_boxes, overlaps
+from .ingest import FaceAnnotation, ImageRecord, SimulatorSettings, _map_images
+from .losses import LossParams, _cls_loss, location_loss, sigmoid
 from .mining import (
     AnchorQuality,
     CompensationParams,
@@ -180,9 +189,11 @@ def _jitter_reach(grid: AnchorGrid, noise: np.ndarray, moved: np.ndarray, noise_
     corner of every unpulled box.
     """
     _, aw, ah, *_, start = grid._layout
-    mag = np.abs(noise)
-    mag[moved] = 0.0
-    peak = np.maximum.reduceat(mag.ravel(), start * 4)  # rows are 4 wide
+    kept = noise[moved]
+    noise[moved] = 0.0  # for the reduction only: the pulled rows are put back below
+    flat, at = noise.ravel(), start * 4  # rows are 4 wide
+    peak = np.maximum(np.maximum.reduceat(flat, at), -np.minimum.reduceat(flat, at))
+    noise[moved] = kept
     return noise_sigma * peak[:, None] * np.stack([aw, ah], axis=1) + _MIN_BOX_SIDE
 
 
@@ -228,12 +239,13 @@ def synthetic_dataset(
 class MinedIteration:
     """One iteration of the per-image mining sequence.
 
-    Every array has one row per row of the search: per anchor of the grid
-    from `mine_image`. `regressed` holds the predicted box of every row that
-    can meet a face: the rows pulled toward a face, and on a noisy lattice
-    grid the unpulled anchors inside a face's widened window. Those rows are
+    From `mine_image`, every array has one row per anchor of the grid.
+    `regressed` holds the predicted box of every anchor that can meet a
+    face: the anchors pulled toward a face, and on a noisy lattice grid the
+    unpulled anchors inside a face's widened window. Those rows are
     bit-equal to `simulate_regression`; every other row is NaN. A row with
-    NaN meets no face, so its F is 0 and it is never positive.
+    NaN meets no face, so its F is 0 and it is never positive. `_mine_rows`
+    gives the same fields on its rows only, all of them regressed.
     """
 
     iteration: int
@@ -260,97 +272,138 @@ def mine_image(
     best-face pull do not change between iterations; both come from one
     anchor-by-face pair list. One regressed-by-face pair list per iteration
     feeds both compensation and quality, and it is the pair list of
-    `overlaps(simulate_regression(...), faces)`:
+    `overlaps(simulate_regression(...), faces)`.
 
-    * the pulled anchors (those in the first pair list) go through
-      `overlaps`;
-    * every other anchor is its own box plus jitter, so on a lattice grid
-      it is scored only against the faces whose window on its level, widened
-      by that level's largest jitter, holds it. Without noise it stays on
-      itself and meets no face, so no window is searched.
-
-    Only the rows those searches read are regressed (see `MinedIteration`);
-    the noise is still drawn for every anchor, as the stream fixes it. On a
-    grid not laid out by `generate_anchors`, or when the windows would hold
-    more candidates than the grid has anchors, a noisy iteration regresses
-    every anchor and hashes every box through `overlaps`. Memory is
-    O(anchors + candidate pairs): no anchors x faces matrix is built.
+    The work runs on rows (`_mine_rows`): the anchors that meet a face, plus
+    with noise the unpulled anchors that jitter can carry onto one. Only the
+    noise draw, which the stream fixes for every anchor, and the jitter
+    bound `_jitter_reach` read every anchor. Each iteration is then spread
+    to one row per anchor (see `MinedIteration`). Memory is O(anchors +
+    candidate pairs): no anchors x faces matrix is built.
     """
     faces = as_box_array(faces)
-    return _mine_rows(grid, grid.boxes, faces, grid_overlaps(grid, faces), model, n_iters, stream, match, comp)
+    n = len(grid)
+    mined = _mine_rows(grid, *_pair_rows(grid, faces), faces, model, n_iters, stream, match, comp)
+    return (_per_anchor(it, rows, n) for rows, it in mined)
 
 
 def _mine_rows(
     grid: AnchorGrid,
+    anchors: np.ndarray,
     boxes: np.ndarray,
-    faces: np.ndarray,
     pairs: Overlaps,
+    faces: np.ndarray,
     model: RegressorModel,
     n_iters: int,
     stream: int,
     match: MatchParams,
     comp: CompensationParams,
-) -> Iterator[MinedIteration]:
-    """`mine_image` on rows: `boxes` are the rows' anchor boxes and `pairs` their pairs with the faces.
+) -> Iterator[tuple[np.ndarray, MinedIteration]]:
+    """`mine_image` on rows: yields each iteration's rows and the iteration on them.
 
-    Without noise the rows may be only the anchors that meet a face
-    (`anchors._pair_rows`), so nothing of the grid's size is built. With
-    noise they must be every anchor of `grid`, in order, as the noise is
-    drawn per anchor.
+    `anchors`, `boxes` and `pairs` are the anchors that meet a face, their
+    boxes and their pairs with the faces, as `anchors._pair_rows` gives
+    them. An iteration's rows are those anchors plus the rows of
+    `_window_rows`, in ascending anchor order, so a rule that breaks ties by
+    the lower row breaks them by the lower anchor. A row that enters only
+    through a window starts as background with source none. Without noise
+    the rows are `anchors` in every iteration.
     """
     first = first_step_from_overlaps(boxes, faces, pairs, match)
-    ref, pulled = _pull_targets(boxes, faces, pairs)
-    moved = np.flatnonzero(pulled)
+    ref, _ = _pull_targets(boxes, faces, pairs)  # every row is pulled
+    n = len(grid)
     for t in range(n_iters):
-        noise = _noise(model, t, stream, boxes.shape)
-        regressed, pairs = _regressed_pairs(grid, boxes, faces, ref, pulled, moved, model.q_at(t), model.noise_sigma, noise)
-        assigned = _compensate(first, boxes, faces, pairs, comp)
-        quality = _quality(pairs, boxes.shape[0])
-        yield MinedIteration(t, first, assigned, regressed, quality, ignore_mask(assigned, quality))
+        noise = _noise(model, t, stream, (n, 4))
+        found = _window_rows(grid, anchors, faces, noise, model.noise_sigma)
+        rows, win, face = (np.arange(n), None, None) if found is None else found
+        if rows.size == anchors.size:  # the rows are the pulled anchors
+            at, row_boxes, row_ref, pulled, row_first = None, boxes, ref, np.ones(rows.size, dtype=bool), first
+        else:
+            at = anchors if found is None else np.searchsorted(rows, anchors)
+            row_boxes = grid.boxes if found is None else grid.boxes_at(rows)
+            row_ref = row_boxes.copy()
+            row_ref[at] = ref
+            pulled = _spread(np.ones(at.size, dtype=bool), at, rows.size, False)
+            row_first = _spread_assignment(first, at, rows.size)
+        row_noise = noise if noise is None or found is None else noise[rows]
+        regressed = _regress(row_boxes, row_ref, pulled, model.q_at(t), model.noise_sigma, row_noise)
+        if at is None or found is None:
+            pairs_t = overlaps(regressed, faces)
+        else:
+            # Each box's candidates come in face order, pulled ones from
+            # `_candidates` and windowed ones from `_window_rows`, and no box
+            # is in both lists: one `_scored` pass puts them in `overlaps` order.
+            box, near = _candidates(regressed[at], faces)
+            box, face = np.concatenate([at[box], win]), np.concatenate([near, face])
+            pairs_t = _scored(regressed.take(box, axis=0), faces, box, face)
+        assigned = _compensate(row_first, row_boxes, faces, pairs_t, comp)
+        quality = _quality(pairs_t, rows.size)
+        yield rows, MinedIteration(t, row_first, assigned, regressed, quality, ignore_mask(assigned, quality))
 
 
-def _regressed_pairs(
-    grid: AnchorGrid,
-    boxes: np.ndarray,
-    faces: np.ndarray,
-    ref: np.ndarray,
-    pulled: np.ndarray,
-    moved: np.ndarray,
-    q: float,
-    noise_sigma: float,
-    noise: np.ndarray | None,
-) -> tuple[np.ndarray, Overlaps]:
-    """One iteration's regressed rows and their pairs with the faces, searched as `mine_image` says."""
-    face, anchor = _EMPTY, _EMPTY
-    if noise is not None:
-        # Windows that hold more candidates than the grid has anchors cost
-        # more than hashing every regressed box.
-        found = None
-        if grid.lattice:
-            found = _window_candidates(grid, faces, _jitter_reach(grid, noise, moved, noise_sigma), len(boxes))
-        if found is None:
-            regressed = _regress(boxes, ref, pulled, q, noise_sigma, noise)
-            return regressed, overlaps(regressed, faces)
-        face, *_, anchor = found
-        keep = ~pulled[anchor]
-        face, anchor = face[keep], anchor[keep]
-    need = pulled.copy()
-    need[anchor] = True
-    if need.all():  # as on the rows of `_pair_rows`, which all meet a face
-        regressed = _regress(boxes, ref, pulled, q, noise_sigma, noise)
-    else:
-        rows = np.flatnonzero(need)
-        regressed = np.full(boxes.shape, np.nan)
-        row_noise = None if noise is None else noise[rows]
-        regressed[rows] = _regress(boxes[rows], ref[rows], pulled[rows], q, noise_sigma, row_noise)
-    near = overlaps(regressed[moved], faces)
-    if anchor.size == 0:
-        return regressed, Overlaps(moved[near.box], near.face, near.iou)
-    # A pulled box's pairs come in IoU order with ties in face order, a
-    # windowed box's in face order, and no box is in both lists: one
-    # `_scored` pass puts them in `overlaps` order.
-    box, face = np.concatenate([moved[near.box], anchor]), np.concatenate([near.face, face])
-    return regressed, _scored(regressed.take(box, axis=0), faces, box, face)
+def _window_rows(
+    grid: AnchorGrid, anchors: np.ndarray, faces: np.ndarray, noise: np.ndarray | None, noise_sigma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """An iteration's rows, and the row and face of each candidate pair of an unpulled row.
+
+    The rows are the pulled `anchors` plus every unpulled anchor that a
+    face's window on its level, widened by that level's largest jitter,
+    holds; they come as ascending anchor indices. Without noise an unpulled
+    anchor stays on itself and meets no face, so no window is searched.
+    Returns None when every anchor must be a row and every regressed box
+    hashed through `overlaps`: on a grid not laid out by `generate_anchors`,
+    or when the windows hold more candidates than the grid has anchors,
+    which costs more than hashing every box.
+    """
+    if noise is None:
+        return anchors, _EMPTY, _EMPTY
+    if not grid.lattice:
+        return None
+    found = _window_candidates(grid, faces, _jitter_reach(grid, noise, anchors, noise_sigma), len(grid))
+    if found is None:
+        return None
+    face, *_, anchor = found
+    # Sorted by anchor, a stable sort keeping each anchor's faces in order.
+    order = np.argsort(anchor, kind="stable")
+    face, anchor = face[order], anchor[order]
+    unpulled = np.append(anchors, -1)[np.searchsorted(anchors, anchor)] != anchor
+    face, anchor = face[unpulled], anchor[unpulled]
+    rows = np.concatenate([anchors, anchor[np.diff(anchor, prepend=-1) != 0]])
+    rows.sort()
+    return rows, np.searchsorted(rows, anchor), face
+
+
+def _spread(values: np.ndarray, at: np.ndarray, n: int, fill) -> np.ndarray:
+    """An n-row array with `values` in rows `at` and `fill` in every other row."""
+    out = np.full((n,) + values.shape[1:], fill, dtype=values.dtype)
+    out[at] = values
+    return out
+
+
+def _spread_assignment(assignment: Assignment, at: np.ndarray, n: int) -> Assignment:
+    """`assignment` moved to rows `at` of n rows; every other row is background with source none."""
+    return Assignment(
+        _spread(assignment.face_of, at, n, BACKGROUND),
+        _spread(assignment.targets, at, n, np.nan),
+        _spread(assignment.source, at, n, SOURCE_NONE),
+        assignment.matched_count.copy(),
+    )
+
+
+def _per_anchor(it: MinedIteration, rows: np.ndarray, n: int) -> MinedIteration:
+    """`it`, given on `rows`, with one row per anchor of an n-anchor grid.
+
+    An anchor outside the rows is background with source none, a NaN
+    regressed box, F = 0 and no ignore.
+    """
+    return MinedIteration(
+        it.iteration,
+        _spread_assignment(it.first, rows, n),
+        _spread_assignment(it.assigned, rows, n),
+        _spread(it.regressed, rows, n, np.nan),
+        AnchorQuality(_spread(it.quality.F, rows, n, 0.0)),
+        _spread(it.ignore, rows, n, False),
+    )
 
 
 def run_simulation(
@@ -388,19 +441,22 @@ def run_simulation(
         faces = dataset[i].face_boxes()
         w, h = image_size if image_size is not None else cover_image_size(faces, anchor_config)
         grid = generate_anchors(anchor_config, w, h)
-        rows = []
+        n = len(grid)
+        # Every anchor outside an iteration's rows is background with F = 0.
+        outside = sigmoid(scorer_scale * np.zeros(1) + scorer_bias)
+        per_iter = []
         report = None
-        for it in mine_image(grid, faces, model, n_iters, i, match_params, comp_params):
+        for rows, it in _mine_rows(grid, *_pair_rows(grid, faces), faces, model, n_iters, i, match_params, comp_params):
             probs = sigmoid(scorer_scale * it.quality.F + scorer_bias)
-            cls = regression_aware_cls_loss(probs, it.assigned, it.quality, it.ignore, loss_params)
+            cls = _cls_loss(probs, it.assigned, it.quality, it.ignore, loss_params, (rows, n, outside))
             # The location loss reads only the positive rows.
             pos = it.assigned.positive
             deltas = np.full(it.regressed.shape, np.nan)
-            deltas[pos] = encode_boxes(grid.boxes[pos], it.regressed[pos])
+            deltas[pos] = encode_boxes(grid.boxes_at(rows[pos]), it.regressed[pos])
             loc = location_loss(deltas, it.assigned, loss_params)
             comp_mask = it.assigned.source == SOURCE_HAMBOX
             com_ious = elementwise_iou(it.regressed[comp_mask], faces[it.assigned.face_of[comp_mask]])
-            rows.append((
+            per_iter.append((
                 cls.cls_compensated,
                 cls.cls_normal,
                 loc.loc_compensated,
@@ -412,20 +468,23 @@ def run_simulation(
             if provenance and it.iteration == n_iters - 1:
                 # The report's NMS reads every box that scores at least its
                 # weakest correct step-1 box, whose F exceeds CPBB_IOU. The
-                # rows left NaN have F = 0; a scorer that does not rank
-                # F = 0 strictly lower needs their boxes too.
-                regressed = it.regressed
-                weakest = probs[it.quality.F > CPBB_IOU].min(initial=np.inf)
+                # anchors outside the rows have F = 0; a scorer that does not
+                # rank F = 0 strictly lower needs their boxes too.
+                quality = AnchorQuality(_spread(it.quality.F, rows, n, 0.0))
+                probs = sigmoid(scorer_scale * quality.F + scorer_bias)
+                weakest = probs[quality.F > CPBB_IOU].min(initial=np.inf)
+                regressed = _spread(it.regressed, rows, n, np.nan)
                 if np.any(probs[np.isnan(regressed[:, 0])] >= weakest):
                     regressed = simulate_regression(grid, faces, model, it.iteration, i)
-                report = provenance_report(it.first, grid, it.quality, regressed, probs, faces, 0.5)
-        return rows, report
+                first = _spread_assignment(it.first, rows, n)
+                report = provenance_report(first, grid, quality, regressed, probs, faces, 0.5)
+        return per_iter, report
 
     per_image = _map_images(work, len(dataset), threads)
     records: list[SimulationRecord] = []
     for t in range(n_iters):
         cls_com, cls_norm, loc_com, loc_norm, n_com, iou_sum, n_ign = (
-            sum(rows[t][k] for rows, _ in per_image) for k in range(7)
+            sum(per_iter[t][k] for per_iter, _ in per_image) for k in range(7)
         )
         records.append(
             SimulationRecord(

@@ -548,7 +548,7 @@ def provenance_report(
         survived = good & kept_mask[step1_idx]
     faces_cpbb_post = np.count_nonzero(np.bincount(own[survived]))
 
-    iou_cdf = np.sort(elementwise_iou(grid.boxes[step1_idx], faces[own]))
+    iou_cdf = np.sort(elementwise_iou(grid.boxes_at(step1_idx), faces[own]))
     return ProvenanceReport(
         n_cpbb=n_cpbb,
         n_cpbb_from_matched=n_cpbb_matched,

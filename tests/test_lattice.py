@@ -180,16 +180,23 @@ class TestNoisyRegressedSearch:
             grid = replace(grid, lattice=False)
         model = RegressorModel(q=q, noise_sigma=sigma, seed=seed)
         seen = []
-        real = simulator._quality
+        real_quality, real_mine_rows = simulator._quality, simulator._mine_rows
 
         def spy(pairs, n):
             seen.append(pairs)
-            return real(pairs, n)
+            return real_quality(pairs, n)
 
-        with mock.patch.object(simulator, "_quality", spy):
+        def rows_spy(*args):
+            for rows, it in real_mine_rows(*args):
+                seen.append(rows)
+                yield rows, it
+
+        with mock.patch.object(simulator, "_quality", spy), mock.patch.object(simulator, "_mine_rows", rows_spy):
             mined = list(mine_image(grid, faces, model, 2, stream, MatchParams(), CompensationParams(T=T, K=K)))
-        for it, pairs in zip(mined, seen, strict=True):
+        for it, pairs, rows in zip(mined, seen[::2], seen[1::2], strict=True):
             want = simulate_regression(grid, faces, model, it.iteration, stream)
+            assert np.array_equal(rows, np.unique(rows))
+            pairs = type(pairs)(rows[pairs.box], pairs.face, pairs.iou)  # rows to anchor indices
             assert_same_pairs(pairs, overlaps(want, faces))
             assert it.regressed.shape == want.shape
             done = ~np.isnan(it.regressed[:, 0])
@@ -307,11 +314,16 @@ def test_hambox_assign_searches_only_pulled_boxes(tmp_path, monkeypatch, noise):
     ini.write_text(f"[simulator]\nnoise_sigma = {noise}\n")
     seen = []
 
-    def spy(boxes, faces):
-        seen.append(len(boxes))
-        return overlaps(boxes, faces)
+    def spying(kernel):
+        def spy(boxes, faces):
+            seen.append(len(boxes))
+            return kernel(boxes, faces)
 
-    monkeypatch.setattr(simulator, "overlaps", spy)
+        return spy
+
+    # The noisy search hashes the pulled boxes through `_candidates`, and scores them with the windowed ones.
+    monkeypatch.setattr(simulator, "overlaps", spying(overlaps))
+    monkeypatch.setattr(simulator, "_candidates", spying(simulator._candidates))
     argv = ["--config", str(ini), "--out", str(tmp_path / "out"), "assign", "--annotations", str(gt)]
     assert main(argv + ["--strategy", "hambox"]) == 0
     config = default_hambox_config()

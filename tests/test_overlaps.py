@@ -8,6 +8,8 @@ written out below as a vectorised second reference, and the brute-force
 oracles judge the instances small enough for them.
 """
 
+import timeit
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from hambox.assignment import (
     match_nams,
     match_two_step,
 )
-from hambox.geometry import Overlaps, overlaps, pairwise_iou
+from hambox.geometry import Overlaps, _candidates, overlaps, pairwise_iou
 from hambox.mining import CompensationParams, compensate, compute_quality
 
 from .oracles import (
@@ -203,6 +205,32 @@ class TestOverlapsMatchesDense:
         faces = np.array(small + [[-1e300, 0.0, 1e300, 1e-299], [0.0, -1e300, 1e-299, 1e300]])
         got = assert_matches_dense(grid.boxes, faces)
         assert set(got.face.tolist()) == set(range(5))
+
+    def test_1e300_face_costs_what_a_spanning_face_costs(self):
+        """Clipped to the boxes' extent, a 2e300-long face adds its own candidates, not the grid's."""
+        grid = generate_anchors(default_hambox_config(), 640, 640)
+        xy = np.random.default_rng(8).uniform(0.0, 600.0, size=(5, 2))
+        five = np.hstack([xy, xy + 20.0])
+        six = np.vstack([five, [[-1e300, 0.0, 1e300, 1e-299]]])
+        got = assert_matches_dense(grid.boxes, six)
+        thin = np.flatnonzero((grid.boxes[:, 1] < 1e-299) & (grid.boxes[:, 3] > 0.0))
+        assert np.array_equal(got.box[got.face == 5], thin)
+        with_huge, without = _candidates(grid.boxes, six)[0].size, _candidates(grid.boxes, five)[0].size
+        assert with_huge < 2 * without, (with_huge, without)  # 3,836 and 2,261; 204,750 without the clip
+        cost = [min(timeit.repeat(lambda f=f: overlaps(grid.boxes, f), number=3, repeat=9)) for f in (five, six)]
+        assert cost[1] < 2.0 * cost[0], cost  # 1.02x measured; 6.8x before the clip
+
+    def test_faces_outside_the_boxes_extent_are_dropped(self):
+        # 49 boxes within [0, 14] on both axes, and eight faces, so the faces
+        # are hashed; faces 0 to 2 end where the boxes start, or start past
+        # their corners by more than their side.
+        xy = np.repeat(np.arange(7.0) * 2.0, 7), np.tile(np.arange(7.0) * 2.0, 7)
+        boxes = np.stack([xy[0], xy[1], xy[0] + 2.0, xy[1] + 2.0], axis=1)
+        edges = [[-9.0, 0.0, 0.0, 9.0], [20.0, 0.0, 30.0, 20.0], [0.0, 20.0, 20.0, 30.0]]
+        faces = np.array((edges + [[2.0, 2.0, 12.0, 12.0]]) * 2)
+        got = assert_matches_dense(boxes, faces)
+        assert set(got.face.tolist()) == {3, 7}
+        assert set(_candidates(boxes, faces)[1].tolist()) == {3, 7}
 
     def test_no_boxes_or_faces(self):
         assert assert_matches_dense(np.zeros((0, 4)), np.ones((3, 4))).box.size == 0
