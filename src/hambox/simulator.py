@@ -325,8 +325,9 @@ def _mine_rows(
             row_ref[at] = ref
             pulled = _spread(np.ones(at.size, dtype=bool), at, rows.size, False)
             row_first = _spread_assignment(first, at, rows.size)
-        row_noise = noise if noise is None or found is None else noise[rows]
-        regressed = _regress(row_boxes, row_ref, pulled, model.q_at(t), model.noise_sigma, row_noise)
+        if noise is not None and found is not None:
+            noise = noise[rows]  # the draw of every other anchor is not read again
+        regressed = _regress(row_boxes, row_ref, pulled, model.q_at(t), model.noise_sigma, noise)
         if at is None or found is None:
             pairs_t = overlaps(regressed, faces)
         else:

@@ -232,6 +232,15 @@ class TestOverlapsMatchesDense:
         assert set(got.face.tolist()) == {3, 7}
         assert set(_candidates(boxes, faces)[1].tolist()) == {3, 7}
 
+    def test_faces_past_the_last_corner_on_a_cell_edge(self):
+        # The clipped span must still reach the cell of the last box corner,
+        # here exactly on a cell edge (16 px boxes, corners every 16 px).
+        xy = np.repeat(np.arange(5.0) * 16.0, 5), np.tile(np.arange(5.0) * 16.0, 5)
+        boxes = np.stack([xy[0], xy[1], xy[0] + 16.0, xy[1] + 16.0], axis=1)
+        faces = np.array([[60.0 + k, 60.0, 100.0 + k, 90.0 + k] for k in range(9)] + [[-50.0, -40.0, 1.0, 70.0]])
+        got = assert_matches_dense(boxes, faces)
+        assert 24 in got.box[got.face == 0]
+
     def test_no_boxes_or_faces(self):
         assert assert_matches_dense(np.zeros((0, 4)), np.ones((3, 4))).box.size == 0
         assert assert_matches_dense(np.ones((3, 4)), np.zeros((0, 4))).box.size == 0

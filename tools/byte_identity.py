@@ -70,6 +70,8 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     frac_ini = ini("frac.ini", "[anchors]\nstrides = 3.5, 7.25, 14.5\nbase_scales = 11, 23.5, 47\n")
     # `assign` runs one iteration at q and leaves the ramp to `simulate`.
     ramp_ini = ini("ramp.ini", "[simulator]\nq = 0.7\nquality_ramp = 0.1:0.95\n")
+    # The sim-train shape at a seed of its own: a ramp, light noise and provenance over 4 images x 8 iterations.
+    sim_train_ini = ini("sim_train.ini", "[simulator]\nnoise_sigma = 0.02\nquality_ramp = 0:0.95\nseed = 21\n")
     # The census's threshold windows at their extremes: almost the overlap window, and exact matches only.
     low_ini = ini("iou_low.ini", "[match]\niou_threshold = 0.01\n")
     high_ini = ini("iou_high.ini", "[match]\niou_threshold = 1.0\n")
@@ -106,6 +108,10 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
                                  "--synthetic-images", "3", "--iters", "3", "--provenance"]),
         ("simulate-flat-scorer", ["--config", flat_ini, "--seed", "5", "simulate", "--synthetic-images", "2",
                                   "--iters", "2", "--provenance"]),
+        ("simulate-sim-train-shape", ["--config", sim_train_ini, "simulate", "--synthetic-images", "4",
+                                      "--iters", "8", "--provenance"]),
+        ("simulate-noisy-annotations", ["--config", noisy_ini, "--seed", "6", "simulate", "--annotations", crowd,
+                                        "--iters", "2", "--provenance"]),
         ("loss-check", ["--seed", "3", "loss-check", "--trials", "5"]),
     ]
     for strategy in STRATEGIES:
@@ -130,6 +136,8 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     runs.append(("assign-crowd-sms", ["assign", "--annotations", crowd, "--strategy", "sms"]))
     runs.append(("assign-crowd-hambox-t2", ["--threads", "2", "assign", "--annotations", crowd, "--strategy", "hambox"]))
     runs.append(("assign-noisy", ["--config", noisy_ini, "assign", "--annotations", small, "--strategy", "hambox"]))
+    runs.append(("assign-noisy-crowd", ["--config", noisy_ini, "--threads", "2", "assign", "--annotations", crowd,
+                                        "--strategy", "hambox"]))
     runs.append(("assign-wide-noise", ["--config", wide_noise_ini, "--seed", "3", "assign", "--annotations", small,
                                        "--strategy", "hambox"]))
     runs.append(("assign-T-K", ["--seed", "6", "assign", "--annotations", small, "--strategy", "hambox",
