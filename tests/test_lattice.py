@@ -386,7 +386,7 @@ def dense_block(record, cfg, stream):
     ignore = None
     if cfg.strategy == "hambox":
         first = match_first_step(grid, faces, cfg.match)
-        regressed = simulate_regression(grid, faces, RegressorModel(q=cfg.simulator.q), 0, stream)
+        regressed = simulate_regression(grid, faces, RegressorModel.from_settings(cfg.simulator), 0, stream)
         assigned = compensate(first, grid, faces, regressed, cfg.compensation)
         quality = compute_quality(regressed, faces)
         ignore = ignore_mask(assigned, quality)

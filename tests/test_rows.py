@@ -8,6 +8,7 @@ anchor with the public functions, and every figure must agree bit for bit.
 """
 
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,9 +17,18 @@ from hypothesis import strategies as st
 
 from hambox import simulator
 from hambox.anchors import default_hambox_config, generate_anchors
-from hambox.assignment import BACKGROUND, SOURCE_HAMBOX, SOURCE_NONE, SOURCE_STEP1, Assignment, MatchParams, match_first_step
+from hambox.assignment import (
+    BACKGROUND,
+    SOURCE_HAMBOX,
+    SOURCE_NONE,
+    SOURCE_STEP1,
+    Assignment,
+    MatchParams,
+    match_first_step,
+)
+from hambox.cli import _assign_image
 from hambox.geometry import Box, elementwise_iou, encode_boxes
-from hambox.ingest import FaceAnnotation, ImageRecord
+from hambox.ingest import FaceAnnotation, ImageRecord, SimulatorSettings
 from hambox.losses import LossParams, _cls_loss, location_loss, regression_aware_cls_loss, sigmoid
 from hambox.mining import AnchorQuality, CompensationParams, compensate, compute_quality, ignore_mask
 from hambox.simulator import (
@@ -32,7 +42,7 @@ from hambox.simulator import (
 )
 from hambox.stats import combine_reports, provenance_report
 
-from .test_lattice import lattice_cases
+from .test_lattice import assign_cases, dense_block, lattice_cases
 
 
 def dense_image(grid, faces, model, t, stream, match, comp, loss, scale, bias):
@@ -174,6 +184,16 @@ class TestRowsEqualDense:
         with mock.patch.object(simulator, "_window_rows", spy):
             check_run(grid, faces, model, 3, MatchParams(), CompensationParams(T=0.5), LossParams(), 0.0, -2.0)
         assert all(pulled < rows < len(grid) for pulled, rows in sizes)
+
+
+@given(assign_cases(), st.one_of(st.floats(0.0, 0.3), st.floats(0.0, 3.0)), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_noisy_assign_rows_equal_dense_functions(case, sigma, seed):
+    """Noisy `assign --strategy hambox` on rows writes the block of the dense public functions."""
+    record, cfg, stream = case
+    cfg = replace(cfg, strategy="hambox", simulator=SimulatorSettings(q=cfg.simulator.q, noise_sigma=sigma, seed=seed))
+    model = RegressorModel.from_settings(cfg.simulator)
+    assert _assign_image(record, cfg, model, stream) == dense_block(record, cfg, stream)
 
 
 def test_outside_background_term_equals_dense_loss():
