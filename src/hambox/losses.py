@@ -112,29 +112,13 @@ def regression_aware_cls_loss(
     quality: AnchorQuality,
     ignore: np.ndarray,
     params: LossParams,
+    *,
+    outside: tuple[np.ndarray, int, np.ndarray] | None = None,
 ) -> LossBreakdown:
     """Classification loss over the compensated and normal pools.
 
     `probs` are per-anchor foreground probabilities; `ignore` is the mask
     from :func:`hambox.mining.ignore_mask`.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape[0] != assignment.n_anchors:
-        raise ValueError(
-            f"probs cover {probs.shape[0]} anchors, assignment has {assignment.n_anchors}"
-        )
-    return _cls_loss(probs, assignment, quality, ignore, params)
-
-
-def _cls_loss(
-    probs: np.ndarray,
-    assignment: Assignment,
-    quality: AnchorQuality,
-    ignore: np.ndarray,
-    params: LossParams,
-    outside: tuple[np.ndarray, int, np.ndarray] | None = None,
-) -> LossBreakdown:
-    """`regression_aware_cls_loss` on rows.
 
     With `outside` = (rows, n, p), the arguments cover only the anchors
     `rows` (ascending indices) of n anchors. Every other anchor is
@@ -144,6 +128,11 @@ def _cls_loss(
     anchor order and sums the pool: bit-equal to the sum over every anchor,
     without a focal term per anchor.
     """
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.shape[0] != assignment.n_anchors:
+        raise ValueError(
+            f"probs cover {probs.shape[0]} anchors, assignment has {assignment.n_anchors}"
+        )
     compensated, step1_pos, background = _pools(assignment, quality, ignore)
     n_com = int(compensated.sum())
     n_norm = int(step1_pos.sum())

@@ -46,7 +46,7 @@ from .assignment import (
 )
 from .geometry import Box, Overlaps, _candidates, _scored, as_box_array, elementwise_iou, encode_boxes, overlaps
 from .ingest import FaceAnnotation, ImageRecord, SimulatorSettings, _map_images
-from .losses import LossParams, _cls_loss, location_loss, sigmoid
+from .losses import LossParams, location_loss, regression_aware_cls_loss, sigmoid
 from .mining import (
     AnchorQuality,
     CompensationParams,
@@ -315,27 +315,26 @@ def _mine_rows(
     for t in range(n_iters):
         noise = _noise(model, t, stream, (n, 4))
         found = _window_rows(grid, anchors, faces, noise, model.noise_sigma)
-        rows, win, face = (np.arange(n), None, None) if found is None else found
-        if rows.size == anchors.size:  # the rows are the pulled anchors
-            at, row_boxes, row_ref, pulled, row_first = None, boxes, ref, np.ones(rows.size, dtype=bool), first
+        if found is None:  # every anchor is a row
+            rows, at = np.arange(n), anchors
         else:
-            at = anchors if found is None else np.searchsorted(rows, anchors)
-            row_boxes = grid.boxes if found is None else grid.boxes_at(rows)
-            row_ref = row_boxes.copy()
-            row_ref[at] = ref
-            pulled = _spread(np.ones(at.size, dtype=bool), at, rows.size, False)
-            row_first = _spread_assignment(first, at, rows.size)
-        if noise is not None and found is not None:
-            noise = noise[rows]  # the draw of every other anchor is not read again
+            rows, at, win, win_face = found
+            if noise is not None:
+                noise = noise[rows]  # the draw of every other anchor is not read again
+        pulled = _spread(np.ones(at.size, dtype=bool), at, rows.size, False)
+        free = np.flatnonzero(~pulled)
+        row_boxes, row_ref = _spread(boxes, at, rows.size, np.nan), _spread(ref, at, rows.size, np.nan)
+        row_boxes[free] = row_ref[free] = grid.boxes_at(rows[free])
+        row_first = _spread_assignment(first, at, rows.size)
         regressed = _regress(row_boxes, row_ref, pulled, model.q_at(t), model.noise_sigma, noise)
-        if at is None or found is None:
+        if found is None:
             pairs_t = overlaps(regressed, faces)
         else:
             # Each box's candidates come in face order, pulled ones from
             # `_candidates` and windowed ones from `_window_rows`, and no box
             # is in both lists: one `_scored` pass puts them in `overlaps` order.
-            box, near = _candidates(regressed[at], faces)
-            box, face = np.concatenate([at[box], win]), np.concatenate([near, face])
+            box, face = _candidates(regressed[at], faces)
+            box, face = np.concatenate([at[box], win]), np.concatenate([face, win_face])
             pairs_t = _scored(regressed.take(box, axis=0), faces, box, face)
         assigned = _compensate(row_first, row_boxes, faces, pairs_t, comp)
         quality = _quality(pairs_t, rows.size)
@@ -344,8 +343,8 @@ def _mine_rows(
 
 def _window_rows(
     grid: AnchorGrid, anchors: np.ndarray, faces: np.ndarray, noise: np.ndarray | None, noise_sigma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """An iteration's rows, and the row and face of each candidate pair of an unpulled row.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """An iteration's rows, the places of `anchors` in them, and the row and face of each windowed pair.
 
     The rows are the pulled `anchors` plus every unpulled anchor that a
     face's window on its level, widened by that level's largest jitter,
@@ -357,7 +356,7 @@ def _window_rows(
     which costs more than hashing every box.
     """
     if noise is None:
-        return anchors, _EMPTY, _EMPTY
+        return anchors, np.arange(anchors.size), _EMPTY, _EMPTY
     if not grid.lattice:
         return None
     found = _window_candidates(grid, faces, _jitter_reach(grid, noise, anchors, noise_sigma), len(grid))
@@ -371,11 +370,17 @@ def _window_rows(
     face, anchor = face[unpulled], anchor[unpulled]
     rows = np.concatenate([anchors, anchor[np.diff(anchor, prepend=-1) != 0]])
     rows.sort()
-    return rows, np.searchsorted(rows, anchor), face
+    return rows, np.searchsorted(rows, anchors), np.searchsorted(rows, anchor), face
 
 
 def _spread(values: np.ndarray, at: np.ndarray, n: int, fill) -> np.ndarray:
-    """An n-row array with `values` in rows `at` and `fill` in every other row."""
+    """An n-row array with `values` in rows `at` and `fill` in every other row.
+
+    `at` holds distinct row indices in ascending order, so when it covers
+    all n rows the values are already in place: they come back as they are.
+    """
+    if at.size == n:
+        return values
     out = np.full((n,) + values.shape[1:], fill, dtype=values.dtype)
     out[at] = values
     return out
@@ -449,7 +454,9 @@ def run_simulation(
         report = None
         for rows, it in _mine_rows(grid, *_pair_rows(grid, faces), faces, model, n_iters, i, match_params, comp_params):
             probs = sigmoid(scorer_scale * it.quality.F + scorer_bias)
-            cls = _cls_loss(probs, it.assigned, it.quality, it.ignore, loss_params, (rows, n, outside))
+            cls = regression_aware_cls_loss(
+                probs, it.assigned, it.quality, it.ignore, loss_params, outside=(rows, n, outside)
+            )
             # The location loss reads only the positive rows.
             pos = it.assigned.positive
             deltas = np.full(it.regressed.shape, np.nan)

@@ -29,7 +29,7 @@ from hambox.assignment import (
 from hambox.cli import _assign_image
 from hambox.geometry import Box, elementwise_iou, encode_boxes
 from hambox.ingest import FaceAnnotation, ImageRecord, SimulatorSettings
-from hambox.losses import LossParams, _cls_loss, location_loss, regression_aware_cls_loss, sigmoid
+from hambox.losses import LossParams, location_loss, regression_aware_cls_loss, sigmoid
 from hambox.mining import AnchorQuality, CompensationParams, compensate, compute_quality, ignore_mask
 from hambox.simulator import (
     RegressorModel,
@@ -217,7 +217,9 @@ def test_outside_background_term_equals_dense_loss():
             want = regression_aware_cls_loss(probs, assigned, quality, ignore, params)
             row = Assignment(face_of[rows], assigned.targets[rows], source[rows], assigned.matched_count)
             outside = (rows, n, sigmoid(scale * np.zeros(1) + bias))
-            got = _cls_loss(probs[rows], row, AnchorQuality(F[rows]), ignore[rows], params, outside)
+            got = regression_aware_cls_loss(
+                probs[rows], row, AnchorQuality(F[rows]), ignore[rows], params, outside=outside
+            )
             assert (got.cls_compensated, got.cls_normal) == (want.cls_compensated, want.cls_normal)
             assert (got.n_com, got.n_norm) == (want.n_com, want.n_norm)
 
