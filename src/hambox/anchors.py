@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, Overlaps, _scored, as_box_array, overlaps
+from .geometry import Box, Overlaps, _scorable, _scored, as_box_array, overlaps
 
 DEFAULT_STRIDES = (4, 8, 16, 32, 64, 128)
 DEFAULT_BASE_SCALES = (16, 32, 64, 128, 256, 512)
@@ -263,8 +263,7 @@ def _window_candidates(
     half_w, half_h = aw / 2.0, ah / 2.0
     if reach is not None:
         half_w, half_h = half_w + reach[:, 0], half_h + reach[:, 1]
-    fw, fh = faces[:, 2] - faces[:, 0], faces[:, 3] - faces[:, 1]
-    live = np.flatnonzero((fw > 0.0) & (fh > 0.0) & np.isfinite(fw * fh))
+    live = np.flatnonzero(_scorable(faces))
     face, level = np.repeat(live, strides.size), np.tile(np.arange(strides.size), live.size)
     s, f = strides[level], faces[face]
     col_lo, col_hi = _window(f[:, 0], f[:, 2], half_w[level], s, cols[level], 1.0)

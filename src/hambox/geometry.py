@@ -109,29 +109,17 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
 
     Each IoU is computed with :func:`pairwise_iou`'s arithmetic, so values
     are bit-equal to the dense entries, and the entries left out are exactly
-    its zeros (a box or face with a non-finite area gets no pairs). Memory
-    and work are O(N + F + candidate pairs):
-
-    * boxes go into power-of-two size classes, and each class is hashed on a
-      grid whose cell is at least its boxes' side;
-    * a box is filed in the one cell that holds its top-left corner, and a
-      face expands into every cell where the top-left corner of a box that
-      overlaps it can lie: the cells it covers plus one column to the left
-      and one row above;
-    * a face outside the boxes' extent is dropped, and the others' spans
-      are clipped to the bounding box of the boxes' top-left corners, where
-      every such cell lies, so a face far longer than that extent (1e300
-      px, say) costs what one spanning it costs; IoUs are scored on the
-      real face;
-    * the cell doubles while the faces' cells, or the window they span,
-      exceed 4 per box of the class plus 9 per face, so tiny or sparse
-      classes stay cheap. It starts at the larger of the class's side and
-      the power of two below which the faces' span alone breaks that
-      budget;
-    * a box and a face sharing a cell are a candidate, so each pair is found
-      once, and candidates that do not intersect are dropped;
-    * when boxes x faces is itself within one class's budget, as for a few
-      faces, every box and face is a candidate and nothing is hashed.
+    its zeros (a box or face without positive sides and a finite area gets
+    no pairs). Boxes go into power-of-two size classes, and a box of side
+    below c that meets a face starts in [f0 - c, f2) x [f1 - c, f3). Each
+    class is sorted by column ``floor(x0 / c)``, then by the rank of y0,
+    and a face probes each occupied column of its x range for the one run
+    of boxes with y0 in its y range: at most one probe per occupied column
+    per class, and none when no box has y0 in that range. Runs are found by
+    `searchsorted` on the int64 key ``column rank * (n + 1) + y0 rank``,
+    exact up to about 3e9 boxes. Work is O((N + F) log N + probes +
+    candidates). When boxes x faces is within 4 per box plus 9 per face,
+    as for a few faces, every pair is a candidate and nothing is swept.
     """
     boxes = as_box_array(boxes)
     faces = as_box_array(faces)
@@ -139,92 +127,62 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
     return _scored(boxes.take(box, axis=0), faces, box, face)
 
 
+def _scorable(boxes: np.ndarray) -> np.ndarray:
+    """(N,) bool: boxes with positive sides and a finite area (inf x 0 is NaN), the only ones with IoU > 0."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        w, h = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
+        return (w > 0.0) & (h > 0.0) & np.isfinite(w * h)
+
+
+def _runs(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """start[i], start[i] + 1, .., start[i] + count[i] - 1 for each i in turn."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
 def _candidates(boxes: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (box, face) candidate pairs of `overlaps`: each pair with IoU > 0 among them once.
 
     A box's candidates come in ascending face order, as `_scored` needs them.
     """
-    bw, bh = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
-    fw, fh = faces[:, 2] - faces[:, 0], faces[:, 3] - faces[:, 1]
-    bi = np.flatnonzero((bw > 0.0) & (bh > 0.0) & np.isfinite(bw * bh))
-    fi = np.flatnonzero((fw > 0.0) & (fh > 0.0) & np.isfinite(fw * fh))
+    bi, fi = np.flatnonzero(_scorable(boxes)), np.flatnonzero(_scorable(faces))
     if bi.size == 0 or fi.size == 0:
         return bi[:0], fi[:0]
     if bi.size * fi.size <= 4 * bi.size + 9 * fi.size:
         return np.repeat(bi, fi.size), np.tile(fi, bi.size)
-    exps = np.frexp(np.maximum(bw[bi], bh[bi]))[1]  # side < 2**exp
-    present = np.bincount(exps - exps.min()) > 0
-    cls_of = (np.cumsum(present) - 1)[exps - exps.min()]
-    n_box = np.bincount(cls_of)
-
-    # Per class: cell size and the window of cells the faces expand into,
-    # as origin, extent and key offset in one table shared by all classes.
-    n_cls = n_box.size
-    cell = np.ldexp(1.0, np.flatnonzero(present) + exps.min())
-    org_x, org_y = np.zeros(n_cls), np.zeros(n_cls)
-    ext_x, ext_y = np.zeros(n_cls), np.zeros(n_cls)
-    offset = np.zeros(n_cls, dtype=np.int64)
-    f_keys, f_ids = [], []
-    n_keys = 0
-    # A face that ends before every box starts, or starts after every box
-    # ends, meets none. The others need cells only where the boxes' top-left
-    # corners lie, so their spans are clipped to the corners' bounding box;
-    # IoUs are scored on the real faces.
-    bx, by = boxes[bi, 0], boxes[bi, 1]
-    lo, hi = [bx.min(), by.min()] * 2, [bx.max(), by.max()] * 2
-    live = faces[fi]
-    near = (live[:, 2] > lo[0]) & (live[:, 3] > lo[1])
-    side = np.ldexp(1.0, exps.max())  # above every box's width and height
-    near &= (live[:, 0] < hi[0] + side) & (live[:, 1] < hi[1] + side)
-    fi, live = fi[near], np.clip(live[near], lo, hi)
-    if fi.size == 0:
-        return bi[:0], fi
-    lo_x, lo_y, hi_x, hi_y = live[:, 0].min(), live[:, 1].min(), live[:, 2].max(), live[:, 3].max()
-    for k in range(n_cls):
-        budget = 4.0 * n_box[k] + 9.0 * fi.size
-        # A span S covers at least S / c + 1 cells, so a cell below
-        # max(Sx, Sy, sqrt(Sx * Sy * budget)) / budget leaves the window
-        # over budget. Spans are divided first so that they stay finite.
-        sx, sy = hi_x / budget - lo_x / budget, hi_y / budget - lo_y / budget
-        need = max(sx, sy, np.sqrt(sx) * np.sqrt(sy) * np.sqrt(budget))
-        c = max(cell[k], np.ldexp(1.0, np.frexp(need)[1] - 1))
-        while True:
-            x0, x1 = np.floor(live[:, 0] / c) - 1.0, np.floor(live[:, 2] / c)
-            y0, y1 = np.floor(live[:, 1] / c) - 1.0, np.floor(live[:, 3] / c)
-            w, h = x1 - x0 + 1.0, y1 - y0 + 1.0
-            ox, oy = x0.min(), y0.min()
-            ex, ey = x1.max() - ox + 1.0, y1.max() - oy + 1.0
-            if np.sum(w * h) <= budget and ex * ey <= budget:
-                break
-            c *= 2.0
-        cell[k], org_x[k], org_y[k], ext_x[k], ext_y[k], offset[k] = c, ox, oy, ex, ey, n_keys
-        n_keys += int(ex * ey)
-        w, h = w.astype(np.int64), h.astype(np.int64)
-        per_face = w * h
-        owner = np.repeat(np.arange(fi.size), per_face)
-        at = np.arange(per_face.sum()) - np.repeat(np.cumsum(per_face) - per_face, per_face)
-        gx = (x0 - ox).astype(np.int64)[owner] + at % w[owner]
-        gy = (y0 - oy).astype(np.int64)[owner] + at // w[owner]
-        f_keys.append(offset[k] + gx * int(ey) + gy)
-        f_ids.append(fi[owner])
-    f_keys = np.concatenate(f_keys)
-    order = np.argsort(f_keys, kind="stable")  # faces ascending within a cell
-    f_ids = np.concatenate(f_ids)[order]
-    f_count = np.bincount(f_keys, minlength=n_keys + 1)  # key n_keys: outside every window
-    f_start = np.cumsum(f_count) - f_count
-
-    # Each box's top-left cell; boxes outside their class window find no face.
-    gx = np.floor(bx / cell[cls_of]) - org_x[cls_of]
-    gy = np.floor(by / cell[cls_of]) - org_y[cls_of]
-    ey = ext_y[cls_of]
-    inside = (gx >= 0.0) & (gx < ext_x[cls_of]) & (gy >= 0.0) & (gy < ey)
-    key = np.where(inside, offset[cls_of] + gx * ey + gy, float(n_keys)).astype(np.int64)
-    n_hit = f_count[key]
-    hit = np.flatnonzero(n_hit)
-    n_hit = n_hit[hit]
-    box = bi[np.repeat(hit, n_hit)]
-    at = np.arange(box.size) - np.repeat(np.cumsum(n_hit) - n_hit, n_hit)
-    return box, f_ids[np.repeat(f_start[key[hit]], n_hit) + at]
+    b, f = boxes.take(bi, axis=0), faces.take(fi, axis=0)
+    # Side < 2**exp; as int16 the classes sort in linear time.
+    exps = np.frexp(np.maximum(b[:, 2] - b[:, 0], b[:, 3] - b[:, 1]))[1].astype(np.int16)
+    n = bi.size + 1
+    by_y = np.argsort(b[:, 1], kind="stable")
+    y_rank = np.empty(bi.size, dtype=np.int64)
+    y_rank[by_y] = np.arange(bi.size)
+    ys = b[by_y, 1]
+    y_hi = np.searchsorted(ys, f[:, 3])
+    by_class = by_y[np.argsort(exps[by_y], kind="stable")]
+    box, face = [], []
+    # A side of 2**1023 or more makes c infinite, and a bound or column may
+    # round to +-inf; both keep their order, which is all the sweep needs.
+    with np.errstate(over="ignore"):
+        for mine in np.split(by_class, np.flatnonzero(np.diff(exps[by_class])) + 1):
+            c = np.ldexp(1.0, int(exps[mine[0]]))
+            step = min(c, 2.0**1023)  # any positive step gives columns in x order
+            col = np.floor(b[mine, 0] / step)
+            by_col = np.argsort(col, kind="stable")
+            mine, col = mine[by_col], col[by_col]
+            new = np.r_[True, col[1:] != col[:-1]]
+            cols, key = col[new], (np.cumsum(new) - 1) * n + y_rank[mine]  # ascending
+            # Faces in index order, each over its columns, so a box meets its faces in order.
+            y_lo = np.searchsorted(ys, f[:, 1] - c)
+            c_lo = np.searchsorted(cols, np.floor((f[:, 0] - c) / step))
+            c_hi = np.searchsorted(cols, np.floor(f[:, 2] / step), side="right")
+            probes = np.where(y_lo < y_hi, np.maximum(c_hi - c_lo, 0), 0)
+            owner = np.repeat(np.arange(fi.size), probes)
+            column = _runs(c_lo, probes) * n
+            start = np.searchsorted(key, column + y_lo[owner])
+            run = np.searchsorted(key, column + y_hi[owner]) - start
+            box.append(bi.take(mine)[_runs(start, run)])
+            face.append(np.repeat(fi.take(owner), run))
+    return np.concatenate(box), np.concatenate(face)
 
 
 def _scored(b: np.ndarray, faces: np.ndarray, box: np.ndarray, face: np.ndarray) -> Overlaps:

@@ -162,7 +162,8 @@ def regression_aware_cls_loss(
 def smooth_l1(x, beta: float):
     """Elementwise smooth L1: quadratic inside |x| < beta, linear outside."""
     x = np.abs(np.asarray(x, dtype=np.float64))
-    out = np.where(x < beta, 0.5 * x * x / beta, x - 0.5 * beta)
+    q = np.minimum(x, beta)  # squaring x itself would overflow where the linear side is taken
+    out = np.where(x < beta, 0.5 * q * q / beta, x - 0.5 * beta)
     return float(out) if out.ndim == 0 else out
 
 

@@ -351,9 +351,9 @@ def _window_rows(
     holds; they come as ascending anchor indices. Without noise an unpulled
     anchor stays on itself and meets no face, so no window is searched.
     Returns None when every anchor must be a row and every regressed box
-    hashed through `overlaps`: on a grid not laid out by `generate_anchors`,
+    swept through `overlaps`: on a grid not laid out by `generate_anchors`,
     or when the windows hold more candidates than the grid has anchors,
-    which costs more than hashing every box.
+    which costs more than sweeping every box.
     """
     if noise is None:
         return anchors, np.arange(anchors.size), _EMPTY, _EMPTY

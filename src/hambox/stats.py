@@ -389,14 +389,6 @@ def _block_tally(
     return tally
 
 
-def _census_tally(
-    faces: np.ndarray, sizes: np.ndarray, iou_threshold: float, image_size: tuple[int, int] | None
-) -> np.ndarray:
-    """One image's census per config: `_block_tally` of a block of one image."""
-    size = None if image_size is None else np.array([image_size], dtype=np.float64)
-    return _block_tally(faces, np.array([faces.shape[0]]), sizes, iou_threshold, size)
-
-
 def _blocks(dataset: Sequence[ImageRecord], cells_per_face: int) -> list[tuple[int, list[ImageRecord]]]:
     """The dataset's records in runs whose faces x `cells_per_face` fit `_PASS_CELLS`, with each run's first index.
 

@@ -307,7 +307,7 @@ CROWD = "".join(f"crowd/{i}.jpg\n{n}\n" + "".join(map(face_line, range(n))) for 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 def test_hambox_assign_searches_only_pulled_boxes(tmp_path, monkeypatch, noise):
-    """The hashed regressed search reads only anchors in the grid pair list, with or without noise."""
+    """The swept regressed search reads only anchors in the grid pair list, with or without noise."""
     gt = tmp_path / "gt.txt"
     gt.write_text(CROWD)
     ini = tmp_path / "cfg.ini"
@@ -321,7 +321,7 @@ def test_hambox_assign_searches_only_pulled_boxes(tmp_path, monkeypatch, noise):
 
         return spy
 
-    # The noisy search hashes the pulled boxes through `_candidates`, and scores them with the windowed ones.
+    # The noisy search sweeps the pulled boxes through `_candidates`, and scores them with the windowed ones.
     monkeypatch.setattr(simulator, "overlaps", spying(overlaps))
     monkeypatch.setattr(simulator, "_candidates", spying(simulator._candidates))
     argv = ["--config", str(ini), "--out", str(tmp_path / "out"), "assign", "--annotations", str(gt)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,12 @@ class TestLocationLoss:
         assert smooth_l1(0.5, 1.0) == pytest.approx(0.125)
         assert smooth_l1(-2.0, 1.0) == pytest.approx(1.5)
         assert smooth_l1(0.2, 0.5) == pytest.approx(0.5 * 0.04 / 0.5)
+
+    def test_smooth_l1_of_a_huge_delta_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = smooth_l1(np.array([1e200, 0.3]), 1.0)
+        assert out.tolist() == [1e200 - 0.5, 0.5 * 0.3 * 0.3 / 1.0]
 
 
 class TestClsLossGrad:

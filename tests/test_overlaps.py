@@ -9,6 +9,7 @@ oracles judge the instances small enough for them.
 """
 
 import timeit
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -43,6 +44,12 @@ def assert_matches_dense(boxes, faces) -> Overlaps:
     np.testing.assert_array_equal(got.box, b[want])
     np.testing.assert_array_equal(got.face, f[want])
     assert np.array_equal(got.iou, dense[got.box, got.face])  # bit-equal, not close
+    # `_candidates` lists each pair once, a box's faces ascending, and every dense nonzero.
+    box, face = _candidates(boxes, faces)
+    by_box = np.argsort(box, kind="stable")
+    box, face = box[by_box], face[by_box]
+    assert np.all(np.diff(face)[np.diff(box) == 0] > 0)  # so no pair comes twice
+    assert np.isin(b * dense.shape[1] + f, box * dense.shape[1] + face).all()
     return got
 
 
@@ -113,12 +120,13 @@ def check_consumers(anchors, faces, regressed, oracle=False):
 
 
 @st.composite
-def box_arrays(draw, max_n, scale):
+def box_arrays(draw, max_n, scale, min_n=0):
     """Boxes on a lattice (exact ties), with negative, zero-area and inverted boxes allowed."""
     unit = draw(st.sampled_from([0.25, 1.0, 3.0]))
     rows = draw(
         st.lists(
             st.tuples(st.integers(-40, 120), st.integers(-40, 120), st.integers(-3, 40), st.integers(-3, 40)),
+            min_size=min_n,
             max_size=max_n,
         )
     )
@@ -127,10 +135,10 @@ def box_arrays(draw, max_n, scale):
 
 
 @st.composite
-def float_boxes(draw, max_n):
+def float_boxes(draw, max_n, min_n=0):
     coord = st.floats(-500.0, 500.0, allow_nan=False)
     side = st.floats(-5.0, 300.0, allow_nan=False)
-    rows = draw(st.lists(st.tuples(coord, coord, side, side), max_size=max_n))
+    rows = draw(st.lists(st.tuples(coord, coord, side, side), min_size=min_n, max_size=max_n))
     return np.array([(x, y, x + w, y + h) for x, y, w, h in rows], dtype=np.float64).reshape(-1, 4)
 
 
@@ -181,6 +189,11 @@ class TestOverlapsMatchesDense:
     def test_float_boxes(self, boxes, faces):
         assert_matches_dense(boxes, faces)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(box_arrays(80, 1, min_n=30), float_boxes(80, min_n=30)), float_boxes(12, min_n=10))
+    def test_enough_boxes_and_faces_to_be_swept(self, boxes, faces):
+        assert_matches_dense(boxes, faces)
+
     @settings(max_examples=100, deadline=None)
     @given(box_arrays(40, 25), box_arrays(10, 1))
     def test_boxes_much_larger_than_faces(self, boxes, faces):
@@ -198,8 +211,8 @@ class TestOverlapsMatchesDense:
         assert got.box.tolist() == [0, 1, 2, 2]
 
     def test_faces_spanning_1e300(self):
-        # Faces 2e300 long and 1e-299 thin have finite areas; their span sets
-        # the cell size of every class. Five faces keep the boxes hashed.
+        # Faces 2e300 long and 1e-299 thin have finite areas; each probes every
+        # occupied column of a class. Five faces keep the boxes swept.
         grid = generate_anchors(default_hambox_config(), 640, 640)
         small = [[300.0, 310.0, 320.0, 330.0], [40.0, 50.0, 47.0, 61.0], [500.0, 20.0, 590.0, 130.0]]
         faces = np.array(small + [[-1e300, 0.0, 1e300, 1e-299], [0.0, -1e300, 1e-299, 1e300]])
@@ -207,7 +220,7 @@ class TestOverlapsMatchesDense:
         assert set(got.face.tolist()) == set(range(5))
 
     def test_1e300_face_costs_what_a_spanning_face_costs(self):
-        """Clipped to the boxes' extent, a 2e300-long face adds its own candidates, not the grid's."""
+        """A 2e300-long face probes only the occupied columns, so it adds its own candidates, not the grid's."""
         grid = generate_anchors(default_hambox_config(), 640, 640)
         xy = np.random.default_rng(8).uniform(0.0, 600.0, size=(5, 2))
         five = np.hstack([xy, xy + 20.0])
@@ -216,21 +229,31 @@ class TestOverlapsMatchesDense:
         thin = np.flatnonzero((grid.boxes[:, 1] < 1e-299) & (grid.boxes[:, 3] > 0.0))
         assert np.array_equal(got.box[got.face == 5], thin)
         with_huge, without = _candidates(grid.boxes, six)[0].size, _candidates(grid.boxes, five)[0].size
-        assert with_huge < 2 * without, (with_huge, without)  # 3,836 and 2,261; 204,750 without the clip
+        assert with_huge < 2 * without, (with_huge, without)  # 1,777 and 1,462 measured
         cost = [min(timeit.repeat(lambda f=f: overlaps(grid.boxes, f), number=3, repeat=9)) for f in (five, six)]
-        assert cost[1] < 2.0 * cost[0], cost  # 1.02x measured; 6.8x before the clip
+        assert cost[1] < 2.0 * cost[0], cost  # about 1.0x measured
+
+    def test_sides_of_2_to_the_1023_and_more(self):
+        # Their class's side bound c overflows to inf; 42 boxes and 12 faces keep them swept.
+        xy = np.arange(40.0)[:, None] * [3.0, 2.0]
+        huge = [[-9e307, 1.0, 8.5e307, 1.5], [5.0, -8e307, 5.25, 8e307]]
+        boxes = np.vstack([np.hstack([xy, xy + 5.0]), huge])
+        faces = np.vstack([boxes[::5] + 1.0, huge, [[8e307, 1.0, 8.4e307, 1.25]]])  # last: the far end of box 40
+        got = assert_matches_dense(boxes, faces)
+        assert {40, 41} <= set(got.box.tolist()) and 40 in got.box[got.face == faces.shape[0] - 1]
 
     def test_faces_outside_the_boxes_extent_are_dropped(self):
         # 49 boxes within [0, 14] on both axes, and eight faces, so the faces
-        # are hashed; faces 0 to 2 end where the boxes start, or start past
-        # their corners by more than their side.
+        # are swept; faces 0 to 2 end where the boxes start, or start past
+        # their corners by more than their side. Faces 0 and 4 end exactly
+        # on the boxes' first column, which the sweep reads.
         xy = np.repeat(np.arange(7.0) * 2.0, 7), np.tile(np.arange(7.0) * 2.0, 7)
         boxes = np.stack([xy[0], xy[1], xy[0] + 2.0, xy[1] + 2.0], axis=1)
         edges = [[-9.0, 0.0, 0.0, 9.0], [20.0, 0.0, 30.0, 20.0], [0.0, 20.0, 20.0, 30.0]]
         faces = np.array((edges + [[2.0, 2.0, 12.0, 12.0]]) * 2)
         got = assert_matches_dense(boxes, faces)
         assert set(got.face.tolist()) == {3, 7}
-        assert set(_candidates(boxes, faces)[1].tolist()) == {3, 7}
+        assert not set(_candidates(boxes, faces)[1].tolist()) & {1, 2, 5, 6}
 
     def test_faces_past_the_last_corner_on_a_cell_edge(self):
         # The clipped span must still reach the cell of the last box corner,
@@ -249,6 +272,14 @@ class TestOverlapsMatchesDense:
         boxes = np.array([[0.0, 0.0, np.inf, 10.0], [np.nan, 0.0, 5.0, 5.0], [0.0, 0.0, 5.0, 5.0]])
         got = overlaps(boxes, np.array([[1.0, 1.0, 4.0, 4.0]]))
         assert got.box.tolist() == [2]
+
+    def test_infinite_times_zero_side_warns_nothing(self):
+        flat = np.array([[0.0, 3.0, np.inf, 3.0], [1.0, 1.0, 4.0, 4.0]])
+        grid = generate_anchors(default_hambox_config(), 64, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert overlaps(flat, flat).box.tolist() == [1]
+            assert set(grid_overlaps(grid, flat).face.tolist()) == {1}
 
     def test_exact_tie_lattice(self):
         # Two faces on the anchor lattice's symmetry lines, each listed four

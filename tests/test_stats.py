@@ -14,8 +14,8 @@ from hambox.ingest import FaceAnnotation, ImageRecord, filter_valid
 from hambox.mining import compute_quality
 from hambox.stats import (
     EmptyDatasetError,
+    _block_tally,
     _census,
-    _census_tally,
     _image_census,
     combine_reports,
     dataset_census,
@@ -24,6 +24,12 @@ from hambox.stats import (
     scale_ratio_sweep,
     valid_face_boxes,
 )
+
+
+def one_image_tally(faces, sizes, iou_threshold, image_size):
+    """`_block_tally` of a block of one image."""
+    size = None if image_size is None else np.array([image_size], dtype=np.float64)
+    return _block_tally(faces, np.array([faces.shape[0]]), sizes, iou_threshold, size)
 
 
 def record(faces, path="img.jpg", invalid=None):
@@ -198,7 +204,7 @@ def test_census_tally_equals_per_config_kernel_and_dense(budget, case):
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr(stats, "_PASS_CELLS", budget)
-        tally = _census_tally(faces, sizes, threshold, size)
+        tally = one_image_tally(faces, sizes, threshold, size)
     for row, config in zip(tally, configs):
         counts, level_hit = _image_census(faces, config, threshold, size)
         want = [faces.shape[0], np.count_nonzero(counts), counts.sum(), *level_hit.sum(axis=0)]
@@ -273,7 +279,7 @@ def test_census_at_a_threshold_some_anchor_meets_exactly(case, pick):
     np.testing.assert_array_equal(counts, a.matched_count)
     pos = a.face_of >= 0
     assert level_hit.sum() == np.unique(a.face_of[pos] * len(config.levels) + grid.level_of[pos]).size
-    tally = _census_tally(faces, config._sizes[None], threshold, size)
+    tally = one_image_tally(faces, config._sizes[None], threshold, size)
     assert tally[0, :3].tolist() == [faces.shape[0], np.count_nonzero(counts), counts.sum()]
 
 
@@ -330,7 +336,7 @@ def test_census_equals_sum_of_image_tallies(budget, case):
     records, configs, sizes, threshold = case
     stacked = np.array([c._sizes for c in configs])
     want = sum(
-        _census_tally(valid_face_boxes(rec), stacked, threshold, sizes and sizes[i]) for i, rec in enumerate(records)
+        one_image_tally(valid_face_boxes(rec), stacked, threshold, sizes and sizes[i]) for i, rec in enumerate(records)
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stats, "_PASS_CELLS", budget)
