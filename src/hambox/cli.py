@@ -41,7 +41,7 @@ from .ingest import (
     load_wider_annotations,
 )
 from .losses import gradient_check
-from .simulator import RegressorModel, _mine_rows, linear_ramp, run_simulation, synthetic_dataset
+from .simulator import RegressorModel, linear_ramp, mine_image, run_simulation, synthetic_dataset
 from .stats import EmptyDatasetError, provenance_csv, scale_ratio_sweep
 
 EXIT_OK = 0
@@ -178,17 +178,17 @@ def _assign_image(record: ImageRecord, cfg: ToolConfig, model: RegressorModel, s
 
     The rows of the work are the anchors that meet a face (`_pair_rows`),
     and under hambox with noise also the anchors that jitter can carry onto
-    a face (`_mine_rows`). Nothing of the grid's size is built but the
+    a face (`mine_image`). Nothing of the grid's size is built but the
     noise draw and its bound.
     """
     faces = record.face_boxes()
     grid = generate_anchors(cfg.anchors, *cover_image_size(faces, cfg.anchors))
-    rows, boxes, pairs = _pair_rows(grid, faces)
     mined = None
     if cfg.strategy == "hambox":  # compensation against simulated predictions
-        rows, mined = next(_mine_rows(grid, rows, boxes, pairs, faces, model, 1, stream, cfg.match, cfg.compensation))
-        assignment = mined.assigned
+        mined = next(mine_image(grid, faces, model, 1, stream, cfg.match, cfg.compensation))
+        rows, assignment = mined.rows, mined.assigned
     else:
+        rows, boxes, pairs = _pair_rows(grid, faces)
         assignment = _ROW_MATCHERS[cfg.strategy](boxes, faces, pairs, cfg.match)
 
     pos = np.flatnonzero(assignment.positive)
@@ -326,6 +326,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cfg = load_config(args.config) if args.config else ToolConfig()
     except ConfigError as exc:

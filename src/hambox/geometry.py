@@ -198,7 +198,9 @@ def _scored(b: np.ndarray, faces: np.ndarray, box: np.ndarray, face: np.ndarray)
     meet = np.flatnonzero((iw > 0.0) & (ih > 0.0))
     box, face, b, f = box[meet], face[meet], b.take(meet, axis=0), f.take(meet, axis=0)
     inter = iw[meet] * ih[meet]
-    iou = inter / (_area(b) + _area(f) - inter)
+    union = _area(b) + _area(f) - inter
+    iou = np.zeros_like(inter)
+    np.divide(inter, union, out=iou, where=union > 0.0)  # both areas may underflow to 0
     keep = iou > 0.0
     box, face, iou = box[keep], face[keep], iou[keep]
     # Ranking the IoUs first lets one stable sort finish the order.

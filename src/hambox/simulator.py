@@ -44,7 +44,7 @@ from .assignment import (
     MatchParams,
     first_step_from_overlaps,
 )
-from .geometry import Box, Overlaps, _candidates, _scored, as_box_array, elementwise_iou, encode_boxes, overlaps
+from .geometry import Box, Overlaps, _candidates, _scored, as_box_array, elementwise_iou, encode_boxes
 from .ingest import FaceAnnotation, ImageRecord, SimulatorSettings, _map_images
 from .losses import LossParams, location_loss, regression_aware_cls_loss, sigmoid
 from .mining import (
@@ -237,23 +237,23 @@ def synthetic_dataset(
 
 @dataclass(frozen=True)
 class MinedIteration:
-    """One iteration of the per-image mining sequence.
+    """One iteration of the per-image mining sequence, on its rows.
 
-    From `mine_image`, every array has one row per anchor of the grid.
-    `regressed` holds the predicted box of every anchor that can meet a
-    face: the anchors pulled toward a face, and on a noisy lattice grid the
-    unpulled anchors inside a face's widened window. Those rows are
-    bit-equal to `simulate_regression`; every other row is NaN. A row with
-    NaN meets no face, so its F is 0 and it is never positive. `_mine_rows`
-    gives the same fields on its rows only, all of them regressed.
+    `rows` holds the iteration's anchor indices in ascending order: the
+    anchors that meet a face, plus on a noisy grid the unpulled anchors that
+    jitter can carry onto one. Every other field has one entry per row, and
+    `regressed` is bit-equal to those rows of `simulate_regression`. An
+    anchor outside the rows meets no face: it is background with source
+    none, F = 0 and not ignored.
     """
 
     iteration: int
+    rows: np.ndarray  # (R,) int64 anchor indices, ascending
     first: Assignment  # first matching step, shared by every iteration
     assigned: Assignment  # first step plus online compensation
-    regressed: np.ndarray  # (N, 4) predicted boxes; NaN where not computed
+    regressed: np.ndarray  # (R, 4) predicted boxes
     quality: AnchorQuality
-    ignore: np.ndarray  # (N,) bool
+    ignore: np.ndarray  # (R,) bool
 
 
 def mine_image(
@@ -268,100 +268,69 @@ def mine_image(
     """Yield the mining sequence of one image for iterations 0 .. n_iters - 1.
 
     Per iteration: regress, compensate the first step above T up to K, score
-    quality and build the ignore mask. The first step and each anchor's
-    best-face pull do not change between iterations; both come from one
-    anchor-by-face pair list. One regressed-by-face pair list per iteration
-    feeds both compensation and quality, and it is the pair list of
-    `overlaps(simulate_regression(...), faces)`.
+    quality and build the ignore mask, all on the iteration's rows (see
+    `MinedIteration`). The first step and each anchor's best-face pull do
+    not change between iterations; both come from one anchor-by-face pair
+    list (`anchors._pair_rows`). One regressed-by-face pair list per
+    iteration feeds both compensation and quality: the pairs of
+    `overlaps(simulate_regression(...), faces)` on the rows.
 
-    The work runs on rows (`_mine_rows`): the anchors that meet a face, plus
-    with noise the unpulled anchors that jitter can carry onto one. Only the
-    noise draw, which the stream fixes for every anchor, and the jitter
-    bound `_jitter_reach` read every anchor. Each iteration is then spread
-    to one row per anchor (see `MinedIteration`). Memory is O(anchors +
-    candidate pairs): no anchors x faces matrix is built.
+    Rows keep the anchors' order, so a rule that breaks ties by the lower
+    row breaks them by the lower anchor; a row that enters only through a
+    window (`_window_rows`) starts as background with source none. Only the
+    noise draw, which the stream fixes for every anchor, and its bound
+    `_jitter_reach` read every anchor; without noise, memory is O(faces x
+    levels + pairs).
     """
     faces = as_box_array(faces)
-    n = len(grid)
-    mined = _mine_rows(grid, *_pair_rows(grid, faces), faces, model, n_iters, stream, match, comp)
-    return (_per_anchor(it, rows, n) for rows, it in mined)
-
-
-def _mine_rows(
-    grid: AnchorGrid,
-    anchors: np.ndarray,
-    boxes: np.ndarray,
-    pairs: Overlaps,
-    faces: np.ndarray,
-    model: RegressorModel,
-    n_iters: int,
-    stream: int,
-    match: MatchParams,
-    comp: CompensationParams,
-) -> Iterator[tuple[np.ndarray, MinedIteration]]:
-    """`mine_image` on rows: yields each iteration's rows and the iteration on them.
-
-    `anchors`, `boxes` and `pairs` are the anchors that meet a face, their
-    boxes and their pairs with the faces, as `anchors._pair_rows` gives
-    them. An iteration's rows are those anchors plus the rows of
-    `_window_rows`, in ascending anchor order, so a rule that breaks ties by
-    the lower row breaks them by the lower anchor. A row that enters only
-    through a window starts as background with source none. Without noise
-    the rows are `anchors` in every iteration.
-    """
+    anchors, boxes, pairs = _pair_rows(grid, faces)
     first = first_step_from_overlaps(boxes, faces, pairs, match)
     ref, _ = _pull_targets(boxes, faces, pairs)  # every row is pulled
     n = len(grid)
     for t in range(n_iters):
         noise = _noise(model, t, stream, (n, 4))
-        found = _window_rows(grid, anchors, faces, noise, model.noise_sigma)
-        if found is None:  # every anchor is a row
-            rows, at = np.arange(n), anchors
-        else:
-            rows, at, win, win_face = found
-            if noise is not None:
-                noise = noise[rows]  # the draw of every other anchor is not read again
+        rows, at, swept, win, win_face = _window_rows(grid, anchors, faces, noise, model.noise_sigma)
+        if noise is not None and rows.size < n:
+            noise = noise[rows]  # the draw of every other anchor is not read again
         pulled = _spread(np.ones(at.size, dtype=bool), at, rows.size, False)
         free = np.flatnonzero(~pulled)
         row_boxes, row_ref = _spread(boxes, at, rows.size, np.nan), _spread(ref, at, rows.size, np.nan)
         row_boxes[free] = row_ref[free] = grid.boxes_at(rows[free])
         row_first = _spread_assignment(first, at, rows.size)
         regressed = _regress(row_boxes, row_ref, pulled, model.q_at(t), model.noise_sigma, noise)
-        if found is None:
-            pairs_t = overlaps(regressed, faces)
-        else:
-            # Each box's candidates come in face order, pulled ones from
-            # `_candidates` and windowed ones from `_window_rows`, and no box
-            # is in both lists: one `_scored` pass puts them in `overlaps` order.
-            box, face = _candidates(regressed[at], faces)
-            box, face = np.concatenate([at[box], win]), np.concatenate([face, win_face])
-            pairs_t = _scored(regressed.take(box, axis=0), faces, box, face)
+        # Each box's candidates come in face order, swept ones from
+        # `_candidates` and windowed ones from `_window_rows`, and no box is
+        # in both lists: one `_scored` pass puts them in `overlaps` order.
+        box, face = _candidates(regressed[swept], faces)
+        box, face = np.concatenate([swept[box], win]), np.concatenate([face, win_face])
+        pairs_t = _scored(regressed.take(box, axis=0), faces, box, face)
         assigned = _compensate(row_first, row_boxes, faces, pairs_t, comp)
         quality = _quality(pairs_t, rows.size)
-        yield rows, MinedIteration(t, row_first, assigned, regressed, quality, ignore_mask(assigned, quality))
+        yield MinedIteration(t, rows, row_first, assigned, regressed, quality, ignore_mask(assigned, quality))
 
 
 def _window_rows(
     grid: AnchorGrid, anchors: np.ndarray, faces: np.ndarray, noise: np.ndarray | None, noise_sigma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """An iteration's rows, the places of `anchors` in them, and the row and face of each windowed pair.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """An iteration's rows, where `anchors` and the boxes to sweep sit in them, and each windowed pair's row and face.
 
-    The rows are the pulled `anchors` plus every unpulled anchor that a
-    face's window on its level, widened by that level's largest jitter,
-    holds; they come as ascending anchor indices. Without noise an unpulled
-    anchor stays on itself and meets no face, so no window is searched.
-    Returns None when every anchor must be a row and every regressed box
-    swept through `overlaps`: on a grid not laid out by `generate_anchors`,
-    or when the windows hold more candidates than the grid has anchors,
-    which costs more than sweeping every box.
+    The rows are the pulled `anchors`, which are swept, plus every unpulled
+    anchor that a face's window on its level, widened by that level's
+    largest jitter, holds, as ascending anchor indices. Without noise an
+    unpulled anchor stays on itself and meets no face, so no window is
+    searched. On a grid not laid out by `generate_anchors`, or when the
+    windows hold more candidates than the grid has anchors (sweeping every
+    box costs less), every anchor is a row and every row is swept.
     """
     if noise is None:
-        return anchors, np.arange(anchors.size), _EMPTY, _EMPTY
-    if not grid.lattice:
-        return None
-    found = _window_candidates(grid, faces, _jitter_reach(grid, noise, anchors, noise_sigma), len(grid))
+        at = np.arange(anchors.size)
+        return anchors, at, at, _EMPTY, _EMPTY
+    found = None
+    if grid.lattice:
+        found = _window_candidates(grid, faces, _jitter_reach(grid, noise, anchors, noise_sigma), len(grid))
     if found is None:
-        return None
+        every = np.arange(len(grid))
+        return every, anchors, every, _EMPTY, _EMPTY
     face, *_, anchor = found
     # Sorted by anchor, a stable sort keeping each anchor's faces in order.
     order = np.argsort(anchor, kind="stable")
@@ -370,7 +339,8 @@ def _window_rows(
     face, anchor = face[unpulled], anchor[unpulled]
     rows = np.concatenate([anchors, anchor[np.diff(anchor, prepend=-1) != 0]])
     rows.sort()
-    return rows, np.searchsorted(rows, anchors), np.searchsorted(rows, anchor), face
+    at = np.searchsorted(rows, anchors)
+    return rows, at, at, np.searchsorted(rows, anchor), face
 
 
 def _spread(values: np.ndarray, at: np.ndarray, n: int, fill) -> np.ndarray:
@@ -393,22 +363,6 @@ def _spread_assignment(assignment: Assignment, at: np.ndarray, n: int) -> Assign
         _spread(assignment.targets, at, n, np.nan),
         _spread(assignment.source, at, n, SOURCE_NONE),
         assignment.matched_count.copy(),
-    )
-
-
-def _per_anchor(it: MinedIteration, rows: np.ndarray, n: int) -> MinedIteration:
-    """`it`, given on `rows`, with one row per anchor of an n-anchor grid.
-
-    An anchor outside the rows is background with source none, a NaN
-    regressed box, F = 0 and no ignore.
-    """
-    return MinedIteration(
-        it.iteration,
-        _spread_assignment(it.first, rows, n),
-        _spread_assignment(it.assigned, rows, n),
-        _spread(it.regressed, rows, n, np.nan),
-        AnchorQuality(_spread(it.quality.F, rows, n, 0.0)),
-        _spread(it.ignore, rows, n, False),
     )
 
 
@@ -452,15 +406,15 @@ def run_simulation(
         outside = sigmoid(scorer_scale * np.zeros(1) + scorer_bias)
         per_iter = []
         report = None
-        for rows, it in _mine_rows(grid, *_pair_rows(grid, faces), faces, model, n_iters, i, match_params, comp_params):
+        for it in mine_image(grid, faces, model, n_iters, i, match_params, comp_params):
             probs = sigmoid(scorer_scale * it.quality.F + scorer_bias)
             cls = regression_aware_cls_loss(
-                probs, it.assigned, it.quality, it.ignore, loss_params, outside=(rows, n, outside)
+                probs, it.assigned, it.quality, it.ignore, loss_params, outside=(it.rows, n, outside)
             )
             # The location loss reads only the positive rows.
             pos = it.assigned.positive
             deltas = np.full(it.regressed.shape, np.nan)
-            deltas[pos] = encode_boxes(grid.boxes_at(rows[pos]), it.regressed[pos])
+            deltas[pos] = encode_boxes(grid.boxes_at(it.rows[pos]), it.regressed[pos])
             loc = location_loss(deltas, it.assigned, loss_params)
             comp_mask = it.assigned.source == SOURCE_HAMBOX
             com_ious = elementwise_iou(it.regressed[comp_mask], faces[it.assigned.face_of[comp_mask]])
@@ -478,13 +432,13 @@ def run_simulation(
                 # weakest correct step-1 box, whose F exceeds CPBB_IOU. The
                 # anchors outside the rows have F = 0; a scorer that does not
                 # rank F = 0 strictly lower needs their boxes too.
-                quality = AnchorQuality(_spread(it.quality.F, rows, n, 0.0))
+                quality = AnchorQuality(_spread(it.quality.F, it.rows, n, 0.0))
                 probs = sigmoid(scorer_scale * quality.F + scorer_bias)
                 weakest = probs[quality.F > CPBB_IOU].min(initial=np.inf)
-                regressed = _spread(it.regressed, rows, n, np.nan)
+                regressed = _spread(it.regressed, it.rows, n, np.nan)
                 if np.any(probs[np.isnan(regressed[:, 0])] >= weakest):
                     regressed = simulate_regression(grid, faces, model, it.iteration, i)
-                first = _spread_assignment(it.first, rows, n)
+                first = _spread_assignment(it.first, it.rows, n)
                 report = provenance_report(first, grid, quality, regressed, probs, faces, 0.5)
         return per_iter, report
 

@@ -455,6 +455,14 @@ def test_seed_flag_lands_in_config(tmp_path):
     assert manifest["config"]["simulator"]["seed"] == 7
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_1_exit_2(tmp_path, capsys, threads):
+    out = tmp_path / "run"
+    assert main(["--threads", threads, "--out", str(out), "simulate", "--synthetic-images", "1", "--iters", "1"]) == 2
+    assert f"error: --threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_iou_threshold_exit_2(tmp_path, annotations, capsys):
     # At 0 every anchor, even one overlapping no face, would match face 0.
     cfg = tmp_path / "conf.ini"

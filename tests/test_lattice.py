@@ -37,8 +37,15 @@ from hambox.cli import _assign_image, main
 from hambox.geometry import Box, elementwise_iou, overlaps
 from hambox.ingest import FaceAnnotation, ImageRecord, SimulatorSettings, ToolConfig, load_wider_annotations
 from hambox.losses import LossParams, sigmoid
-from hambox.mining import CompensationParams, compensate, compute_quality, ignore_mask
-from hambox.simulator import RegressorModel, mine_image, run_simulation, simulate_regression
+from hambox.mining import AnchorQuality, CompensationParams, compensate, compute_quality, ignore_mask
+from hambox.simulator import (
+    RegressorModel,
+    _spread,
+    _spread_assignment,
+    mine_image,
+    run_simulation,
+    simulate_regression,
+)
 from hambox.stats import provenance_report
 
 
@@ -180,35 +187,27 @@ class TestNoisyRegressedSearch:
             grid = replace(grid, lattice=False)
         model = RegressorModel(q=q, noise_sigma=sigma, seed=seed)
         seen = []
-        real_quality, real_mine_rows = simulator._quality, simulator._mine_rows
+        real_quality = simulator._quality
 
         def spy(pairs, n):
             seen.append(pairs)
             return real_quality(pairs, n)
 
-        def rows_spy(*args):
-            for rows, it in real_mine_rows(*args):
-                seen.append(rows)
-                yield rows, it
-
-        with mock.patch.object(simulator, "_quality", spy), mock.patch.object(simulator, "_mine_rows", rows_spy):
+        with mock.patch.object(simulator, "_quality", spy):
             mined = list(mine_image(grid, faces, model, 2, stream, MatchParams(), CompensationParams(T=T, K=K)))
-        for it, pairs, rows in zip(mined, seen[::2], seen[1::2], strict=True):
+        for it, pairs in zip(mined, seen, strict=True):
             want = simulate_regression(grid, faces, model, it.iteration, stream)
-            assert np.array_equal(rows, np.unique(rows))
-            pairs = type(pairs)(rows[pairs.box], pairs.face, pairs.iou)  # rows to anchor indices
+            assert np.array_equal(it.rows, np.unique(it.rows))
+            pairs = type(pairs)(it.rows[pairs.box], pairs.face, pairs.iou)  # rows to anchor indices
             assert_same_pairs(pairs, overlaps(want, faces))
-            assert it.regressed.shape == want.shape
-            done = ~np.isnan(it.regressed[:, 0])
-            assert np.isnan(it.regressed[~done]).all()
-            assert np.array_equal(it.regressed[done], want[done])
-            assert done[pairs.box].all()
+            assert np.array_equal(it.regressed, want[it.rows])
 
     def test_flat_scorer_provenance_reads_every_box(self):
         """With scorer_scale 0 every anchor scores alike, so the report's NMS reads boxes that meet no face.
 
         Here an anchor that meets no face suppresses one that would have
-        suppressed the only correct step-1 box: its row must not be NaN.
+        suppressed the only correct step-1 box: the report must read its
+        regressed box, though it is not one of the mined rows.
         """
         config = AnchorConfig(levels=((3.0, 12.0), (5.0, 19.0)))
         boxes = (Box(10.0, 3.0, 17.0, 12.0), Box(2.0, 16.0, 17.0, 23.0))
@@ -219,10 +218,12 @@ class TestNoisyRegressedSearch:
         _, got = run_simulation(dataset, config, comp, LossParams(), model, 1, match, (48, 48), 0.0, provenance=True)
         grid = generate_anchors(config, 48, 48)
         it = next(mine_image(grid, faces, model, 1, 0, match, comp))
-        assert np.isnan(it.regressed).any()
-        probs = sigmoid(0.0 * it.quality.F - 2.0)
+        n = len(grid)
+        assert it.rows.size < n
+        quality = AnchorQuality(_spread(it.quality.F, it.rows, n, 0.0))
+        probs = sigmoid(0.0 * quality.F - 2.0)
         full = simulate_regression(grid, faces, model, 0, 0)
-        want = provenance_report(it.first, grid, it.quality, full, probs, faces, 0.5)
+        want = provenance_report(_spread_assignment(it.first, it.rows, n), grid, quality, full, probs, faces, 0.5)
         assert (want.faces_matched_cpbb, want.faces_matched_cpbb_post_nms) == (1, 0)
         assert got.faces_matched_cpbb_post_nms == 0
 
@@ -312,18 +313,14 @@ def test_hambox_assign_searches_only_pulled_boxes(tmp_path, monkeypatch, noise):
     gt.write_text(CROWD)
     ini = tmp_path / "cfg.ini"
     ini.write_text(f"[simulator]\nnoise_sigma = {noise}\n")
-    seen = []
+    seen, real = [], simulator._candidates
 
-    def spying(kernel):
-        def spy(boxes, faces):
-            seen.append(len(boxes))
-            return kernel(boxes, faces)
+    def spy(boxes, faces):
+        seen.append(len(boxes))
+        return real(boxes, faces)
 
-        return spy
-
-    # The noisy search sweeps the pulled boxes through `_candidates`, and scores them with the windowed ones.
-    monkeypatch.setattr(simulator, "overlaps", spying(overlaps))
-    monkeypatch.setattr(simulator, "_candidates", spying(simulator._candidates))
+    # The search sweeps the pulled boxes through `_candidates`, and with noise scores them with the windowed ones.
+    monkeypatch.setattr(simulator, "_candidates", spy)
     argv = ["--config", str(ini), "--out", str(tmp_path / "out"), "assign", "--annotations", str(gt)]
     assert main(argv + ["--strategy", "hambox"]) == 0
     config = default_hambox_config()

@@ -7,16 +7,16 @@ dense reference below regresses, compensates, scores and sums over every
 anchor with the public functions, and every figure must agree bit for bit.
 """
 
+import sys
 import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hambox import simulator
-from hambox.anchors import default_hambox_config, generate_anchors
+from hambox.anchors import default_hambox_config, generate_anchors, grid_overlaps
 from hambox.assignment import (
     BACKGROUND,
     SOURCE_HAMBOX,
@@ -34,6 +34,8 @@ from hambox.mining import AnchorQuality, CompensationParams, compensate, compute
 from hambox.simulator import (
     RegressorModel,
     SimulationRecord,
+    _spread,
+    _spread_assignment,
     linear_ramp,
     mine_image,
     run_simulation,
@@ -42,6 +44,7 @@ from hambox.simulator import (
 )
 from hambox.stats import combine_reports, provenance_report
 
+from .test_cli import run_child
 from .test_lattice import assign_cases, dense_block, lattice_cases
 
 
@@ -113,16 +116,20 @@ def check_run(grid, faces, model, n_iters, match, comp, loss, scale, bias):
     want, want_report = dense_run(dataset, grid.config, size, model, n_iters, match, comp, loss, scale, bias)
     assert got == want  # every float bit for bit
     assert_same_report(got_report, want_report)
-    for it in mine_image(grid, faces, model, n_iters, 0, match, comp):
+    mined = list(mine_image(grid, faces, model, n_iters, 0, match, comp))
+    n = len(grid)
+    for it in mined:
         (first, assigned, regressed, quality, ignore, _), _ = dense_image(
             grid, faces, model, it.iteration, 0, match, comp, loss, scale, bias
         )
-        assert_same_assignment(it.first, first)
-        assert_same_assignment(it.assigned, assigned)
-        assert np.array_equal(it.quality.F, quality.F)
-        assert np.array_equal(it.ignore, ignore)
-        done = ~np.isnan(it.regressed[:, 0])
-        assert np.array_equal(it.regressed[done], regressed[done])
+        assert np.array_equal(it.rows, np.unique(it.rows))
+        assert np.array_equal(it.regressed, regressed[it.rows])
+        # Spread to the grid, an anchor outside the rows is background with F = 0 and no ignore.
+        assert_same_assignment(_spread_assignment(it.first, it.rows, n), first)
+        assert_same_assignment(_spread_assignment(it.assigned, it.rows, n), assigned)
+        assert np.array_equal(_spread(it.quality.F, it.rows, n, 0.0), quality.F)
+        assert np.array_equal(_spread(it.ignore, it.rows, n, False), ignore)
+    return mined
 
 
 scorers = st.tuples(
@@ -157,33 +164,67 @@ class TestRowsEqualDense:
         grid = generate_anchors(default_hambox_config(), 96, 80)
         faces = np.array([[10.0, 12.0, 30.0, 34.0], [40.0, 20.0, 75.0, 60.0], [5.0, 50.0, 14.0, 58.0]])
         model = RegressorModel(q=0.6, noise_sigma=2.5, seed=11)
-        found = []
-        real = simulator._window_rows
-
-        def spy(*args):
-            found.append(real(*args))
-            return found[-1]
-
-        with mock.patch.object(simulator, "_window_rows", spy):
-            check_run(grid, faces, model, 2, MatchParams(), CompensationParams(T=0.3, K=4), LossParams(), 4.0, -2.0)
-        assert found and all(f is None for f in found)
+        comp = CompensationParams(T=0.3, K=4)
+        mined = check_run(grid, faces, model, 2, MatchParams(), comp, LossParams(), 4.0, -2.0)
+        assert all(it.rows.size == len(grid) for it in mined)
 
     def test_flat_scorer_and_windowed_rows(self):
         """score_scale 0: the report's NMS reads the anchors outside the rows, and windows add rows."""
         grid = generate_anchors(default_hambox_config(), 160, 128)
         faces = np.array([[20.0, 22.0, 44.0, 50.0], [90.0, 30.0, 110.0, 52.0]])
         model = RegressorModel(q=0.8, noise_sigma=0.1, seed=5, quality_ramp=linear_ramp(0.2, 0.95, 3))
-        sizes = []
-        real = simulator._window_rows
+        mined = check_run(grid, faces, model, 3, MatchParams(), CompensationParams(T=0.5), LossParams(), 0.0, -2.0)
+        pulled = np.unique(grid_overlaps(grid, faces).box).size
+        assert all(pulled < it.rows.size < len(grid) for it in mined)
 
-        def spy(grid_, anchors, *args):
-            found = real(grid_, anchors, *args)
-            sizes.append((anchors.size, found[0].size))
-            return found
 
-        with mock.patch.object(simulator, "_window_rows", spy):
-            check_run(grid, faces, model, 3, MatchParams(), CompensationParams(T=0.5), LossParams(), 0.0, -2.0)
-        assert all(pulled < rows < len(grid) for pulled, rows in sizes)
+@given(lattice_cases(), st.booleans(), st.floats(0.0, 1.0), st.integers(0, 50), st.floats(0.0, 1.0), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_noise_free_rows_are_the_pulled_anchors(case, lattice, q, stream, T, K):
+    """Without noise every iteration's rows are the anchors that meet a face, on any grid."""
+    grid, faces = case
+    if not lattice:  # the same boxes, as a hand-built grid
+        grid = replace(grid, lattice=False)
+    model = RegressorModel(q=q)
+    want = np.unique(grid_overlaps(grid, faces).box)
+    for it in mine_image(grid, faces, model, 2, stream, MatchParams(), CompensationParams(T=T, K=K)):
+        assert np.array_equal(it.rows, want)
+
+
+# The child caps its address space at 2 GB, as `test_cli`'s far-face child
+# does, so a per-anchor array of the far face's grid fails fast.
+FAR_FACE_MINE = """\
+    import resource, tracemalloc
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    import numpy as np
+    from hambox.anchors import cover_image_size, default_hambox_config, generate_anchors
+    from hambox.assignment import MatchParams
+    from hambox.mining import CompensationParams
+    from hambox.simulator import RegressorModel, mine_image
+    config = default_hambox_config()
+    faces = np.array([[10_000_000.0, 10.0, 10_000_008.0, 18.0]])
+    grid = generate_anchors(config, *cover_image_size(faces, config))
+    args = (grid, faces, RegressorModel(q=0.9), 1, 0, MatchParams(), CompensationParams())
+    next(mine_image(*args))  # warm caches
+    tracemalloc.start()
+    it = next(mine_image(*args))
+    print(len(grid), tracemalloc.get_traced_memory()[1], it.rows.size, int(it.assigned.positive.sum()))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_far_face_mines_without_the_grid(tmp_path):
+    """One face at x = 10,000,000: noise-free mining keeps nothing of its cover grid.
+
+    Its 271,492,861 anchors would take 8.7 GB as per-anchor boxes; the 52
+    rows peaked at about 0.03 MB of tracemalloc when this was written.
+    """
+    proc = run_child(tmp_path, FAR_FACE_MINE, [])
+    assert "Traceback" not in proc.stderr, proc.stderr
+    n, peak, rows, positives = map(int, proc.stdout.split())
+    assert n > 2e8
+    assert peak < 1 << 20, peak
+    assert 0 < rows < 100 and positives > 0
 
 
 @given(assign_cases(), st.one_of(st.floats(0.0, 0.3), st.floats(0.0, 3.0)), st.integers(0, 2**32 - 1))

@@ -140,6 +140,9 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
                                         "--strategy", "hambox"]))
     runs.append(("assign-wide-noise", ["--config", wide_noise_ini, "--seed", "3", "assign", "--annotations", small,
                                        "--strategy", "hambox"]))
+    # Jitter past the windows' limit on 2 of the 8 crowd images: every anchor is a row there.
+    runs.append(("assign-crowd-wide-noise", ["--config", wide_noise_ini, "assign", "--annotations", crowd,
+                                             "--strategy", "hambox"]))
     runs.append(("assign-T-K", ["--seed", "6", "assign", "--annotations", small, "--strategy", "hambox",
                                 "--sim-quality", "1.0", "--T", "0.6", "--K", "4"]))
     for seed in SEEDS:
