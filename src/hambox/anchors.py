@@ -288,19 +288,19 @@ def grid_overlaps(grid: AnchorGrid, faces: Sequence[Box] | np.ndarray) -> Overla
     return _scored(_cell_boxes(grid._layout, level, row, col), faces, anchor, face)
 
 
-def _pair_rows(grid: AnchorGrid, faces: Sequence[Box] | np.ndarray) -> tuple[np.ndarray, np.ndarray, Overlaps]:
+def _pair_rows(grid: AnchorGrid, faces: Sequence[Box] | np.ndarray) -> tuple[np.ndarray, Overlaps]:
     """`grid_overlaps` on its own rows: one row per anchor that meets a face.
 
-    Returns the rows' anchor indices (ascending), their (R, 4) boxes, and
-    the pair list with each anchor index replaced by its row. Rows keep the
-    anchors' order, so a rule that breaks ties by the lower anchor gives the
-    same result on rows as on the whole grid. On a lattice grid, work and
+    Returns the rows' anchor indices (ascending) and the pair list with each
+    anchor index replaced by its row; `grid.boxes_at` gives the rows' boxes.
+    Rows keep the anchors' order, so a rule that breaks ties by the lower
+    anchor gives the same result on rows as on the whole grid. On a lattice grid, work and
     memory are O(faces x levels + pairs), whatever the grid's size.
     """
     pairs = grid_overlaps(grid, faces)
     head = pairs.heads()
     anchors = pairs.box[head]
-    return anchors, grid.boxes_at(anchors), Overlaps(np.cumsum(head) - 1, pairs.face, pairs.iou)
+    return anchors, Overlaps(np.cumsum(head) - 1, pairs.face, pairs.iou)
 
 
 def cover_image_size(face_boxes: np.ndarray, config: AnchorConfig) -> tuple[int, int]:

@@ -49,6 +49,7 @@ EXIT_ANALYSIS = 1
 EXIT_USAGE = 2
 
 MAX_RATIOS = 10_000  # a --ratios spec that yields more exits 2
+MAX_ANCHORS = 2**22  # an `anchors` grid that holds more exits 2: about 280 B of peak RSS each
 
 # glibc mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
@@ -156,6 +157,10 @@ def _parse_ratio_spec(spec: str) -> list[float]:
 
 def cmd_anchors(args: argparse.Namespace, cfg: ToolConfig) -> int:
     grid = generate_anchors(cfg.anchors, args.width, args.height)
+    if len(grid) > MAX_ANCHORS:
+        raise ValueError(
+            f"an anchor grid of {args.width}x{args.height} px holds {len(grid)} anchors, more than {MAX_ANCHORS}"
+        )
     rows = _rows("{},{},{},{:.10g},{:.10g},{:.10g},{:.10g}", grid.level_of, *grid.cell_of.T, *grid.boxes.T)
     return _emit(args.out, cfg, {"anchors.csv": "level,row,col,x0,y0,x1,y1\n" + rows})
 
@@ -188,8 +193,8 @@ def _assign_image(record: ImageRecord, cfg: ToolConfig, model: RegressorModel, s
         mined = next(mine_image(grid, faces, model, 1, stream, cfg.match, cfg.compensation))
         rows, assignment = mined.rows, mined.assigned
     else:
-        rows, boxes, pairs = _pair_rows(grid, faces)
-        assignment = _ROW_MATCHERS[cfg.strategy](boxes, faces, pairs, cfg.match)
+        rows, pairs = _pair_rows(grid, faces)
+        assignment = _ROW_MATCHERS[cfg.strategy](grid.boxes_at(rows), faces, pairs, cfg.match)
 
     pos = np.flatnonzero(assignment.positive)
     source = assignment.source[pos]

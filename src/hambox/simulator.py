@@ -44,7 +44,7 @@ from .assignment import (
     MatchParams,
     first_step_from_overlaps,
 )
-from .geometry import Box, Overlaps, _candidates, _scored, as_box_array, elementwise_iou, encode_boxes
+from .geometry import Box, Overlaps, as_box_array, elementwise_iou, encode_boxes, overlaps
 from .ingest import FaceAnnotation, ImageRecord, SimulatorSettings, _map_images
 from .losses import LossParams, location_loss, regression_aware_cls_loss, sigmoid
 from .mining import (
@@ -57,7 +57,8 @@ from .mining import (
 from .stats import CPBB_IOU, ProvenanceReport, combine_reports, provenance_report
 
 _MIN_BOX_SIDE = 1e-6  # jittered corners may not invert a box
-_EMPTY = np.zeros(0, dtype=np.int64)
+FACES_PER_IMAGE = (2, 4)  # least and most faces of a `synthetic_dataset` image
+SIZE_BAND = (0.6, 0.7)  # `synthetic_dataset` face sides, as fractions of an anchor side
 
 
 @dataclass(frozen=True)
@@ -177,53 +178,44 @@ def _regress(
     return out
 
 
-def _jitter_reach(grid: AnchorGrid, noise: np.ndarray, moved: np.ndarray, noise_sigma: float) -> np.ndarray:
+def _jitter_reach(grid: AnchorGrid, noise: np.ndarray, noise_sigma: float) -> np.ndarray:
     """(L, 2): per level, how far jitter can move an x and a y coordinate of an unpulled anchor.
 
     An unpulled anchor's reference is itself, so a coordinate moves by
     noise_sigma x |noise| times its width (x) or height (y); the bound takes
-    the level's largest |noise| over its unpulled rows. The clamp
-    ``x1 >= x0 + _MIN_BOX_SIDE`` fires only when it raises x1 to at most
-    x0 + reach + _MIN_BOX_SIDE, which is within x1 + reach + _MIN_BOX_SIDE
-    because x1 >= x0; so adding _MIN_BOX_SIDE to the reach bounds every
-    corner of every unpulled box.
+    the level's largest |noise| over all of its anchors, a superset of its
+    unpulled ones. The clamp ``x1 >= x0 + _MIN_BOX_SIDE`` fires only when it
+    raises x1 to at most x0 + reach + _MIN_BOX_SIDE, which is within
+    x1 + reach + _MIN_BOX_SIDE because x1 >= x0; so adding _MIN_BOX_SIDE to
+    the reach bounds every corner of every unpulled box.
     """
     _, aw, ah, *_, start = grid._layout
-    kept = noise[moved]
-    noise[moved] = 0.0  # for the reduction only: the pulled rows are put back below
     flat, at = noise.ravel(), start * 4  # rows are 4 wide
     peak = np.maximum(np.maximum.reduceat(flat, at), -np.minimum.reduceat(flat, at))
-    noise[moved] = kept
     return noise_sigma * peak[:, None] * np.stack([aw, ah], axis=1) + _MIN_BOX_SIDE
 
 
 def synthetic_dataset(
-    n_images: int,
-    seed: int = 0,
-    image_size: int = 640,
-    faces_per_image: tuple[int, int] = (2, 4),
-    size_band: tuple[float, float] = (0.6, 0.7),
-    levels: tuple[int, ...] = (0, 1, 2),
+    n_images: int, seed: int = 0, image_size: int = 640, levels: tuple[int, ...] = (0, 1, 2)
 ) -> list[ImageRecord]:
     """Deterministic random face layouts that leave room for compensation.
 
-    Face sides are drawn `size_band` times the default anchor side of a
-    random pyramid level. The default band undershoots the anchor scale, so
-    most faces hold fewer first-step positives than the usual budget K while
-    no anchor-to-face IoU comes near the online admission threshold (the
-    nested-anchor bound at the band is (0.5/0.6)^2, about 0.69).
+    Each image holds `FACES_PER_IMAGE` faces, whose sides are drawn
+    `SIZE_BAND` times the default anchor side of a random pyramid level. The
+    band undershoots the anchor scale, so most faces hold fewer first-step
+    positives than the usual budget K while no anchor-to-face IoU comes near
+    the online admission threshold (the nested-anchor bound at the band is
+    (0.5/0.6)^2, about 0.69).
     """
     if n_images < 1:
         raise ValueError(f"n_images must be >= 1, got {n_images}")
-    lo, hi = size_band
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"size_band must satisfy 0 < lo <= hi, got {size_band}")
+    lo, hi = SIZE_BAND
     config = default_hambox_config()
     records = []
     for i in range(n_images):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
         rng = np.random.Generator(np.random.Philox(ss))
-        n_faces = int(rng.integers(faces_per_image[0], faces_per_image[1] + 1))
+        n_faces = int(rng.integers(FACES_PER_IMAGE[0], FACES_PER_IMAGE[1] + 1))
         faces = []
         for _ in range(n_faces):
             level = int(rng.choice(levels))
@@ -249,7 +241,7 @@ class MinedIteration:
 
     iteration: int
     rows: np.ndarray  # (R,) int64 anchor indices, ascending
-    first: Assignment  # first matching step, shared by every iteration
+    first: Assignment  # first matching step; each anchor's entry is the same in every iteration
     assigned: Assignment  # first step plus online compensation
     regressed: np.ndarray  # (R, 4) predicted boxes
     quality: AnchorQuality
@@ -267,80 +259,61 @@ def mine_image(
 ) -> Iterator[MinedIteration]:
     """Yield the mining sequence of one image for iterations 0 .. n_iters - 1.
 
-    Per iteration: regress, compensate the first step above T up to K, score
-    quality and build the ignore mask, all on the iteration's rows (see
-    `MinedIteration`). The first step and each anchor's best-face pull do
-    not change between iterations; both come from one anchor-by-face pair
-    list (`anchors._pair_rows`). One regressed-by-face pair list per
-    iteration feeds both compensation and quality: the pairs of
-    `overlaps(simulate_regression(...), faces)` on the rows.
+    Per iteration, on the iteration's rows (see `MinedIteration` and
+    `_window_rows`): the first step and each row's best-face pull, from the
+    anchor-by-face pair list of `anchors._pair_rows`, searched once per
+    image; the regressed boxes; one `overlaps(regressed, faces)` pair list,
+    which feeds both compensation above T up to K and quality; and the
+    ignore mask.
 
     Rows keep the anchors' order, so a rule that breaks ties by the lower
-    row breaks them by the lower anchor; a row that enters only through a
-    window (`_window_rows`) starts as background with source none. Only the
-    noise draw, which the stream fixes for every anchor, and its bound
-    `_jitter_reach` read every anchor; without noise, memory is O(faces x
-    levels + pairs).
+    row breaks them by the lower anchor; a row in no anchor-by-face pair
+    starts as background with source none. Only the noise draw, which the
+    stream fixes for every anchor, and its bound `_jitter_reach` read every
+    anchor; without noise, memory is O(faces x levels + pairs).
     """
     faces = as_box_array(faces)
-    anchors, boxes, pairs = _pair_rows(grid, faces)
-    first = first_step_from_overlaps(boxes, faces, pairs, match)
-    ref, _ = _pull_targets(boxes, faces, pairs)  # every row is pulled
+    anchors, pairs = _pair_rows(grid, faces)
     n = len(grid)
     for t in range(n_iters):
         noise = _noise(model, t, stream, (n, 4))
-        rows, at, swept, win, win_face = _window_rows(grid, anchors, faces, noise, model.noise_sigma)
+        rows = _window_rows(grid, anchors, faces, noise, model.noise_sigma)
         if noise is not None and rows.size < n:
             noise = noise[rows]  # the draw of every other anchor is not read again
-        pulled = _spread(np.ones(at.size, dtype=bool), at, rows.size, False)
-        free = np.flatnonzero(~pulled)
-        row_boxes, row_ref = _spread(boxes, at, rows.size, np.nan), _spread(ref, at, rows.size, np.nan)
-        row_boxes[free] = row_ref[free] = grid.boxes_at(rows[free])
-        row_first = _spread_assignment(first, at, rows.size)
-        regressed = _regress(row_boxes, row_ref, pulled, model.q_at(t), model.noise_sigma, noise)
-        # Each box's candidates come in face order, swept ones from
-        # `_candidates` and windowed ones from `_window_rows`, and no box is
-        # in both lists: one `_scored` pass puts them in `overlaps` order.
-        box, face = _candidates(regressed[swept], faces)
-        box, face = np.concatenate([swept[box], win]), np.concatenate([face, win_face])
-        pairs_t = _scored(regressed.take(box, axis=0), faces, box, face)
-        assigned = _compensate(row_first, row_boxes, faces, pairs_t, comp)
+        boxes = grid.boxes_at(rows)
+        pairs_0 = Overlaps(np.searchsorted(rows, anchors)[pairs.box], pairs.face, pairs.iou)
+        first = first_step_from_overlaps(boxes, faces, pairs_0, match)
+        ref, pulled = _pull_targets(boxes, faces, pairs_0)
+        regressed = _regress(boxes, ref, pulled, model.q_at(t), model.noise_sigma, noise)
+        pairs_t = overlaps(regressed, faces)
+        assigned = _compensate(first, boxes, faces, pairs_t, comp)
         quality = _quality(pairs_t, rows.size)
-        yield MinedIteration(t, rows, row_first, assigned, regressed, quality, ignore_mask(assigned, quality))
+        yield MinedIteration(t, rows, first, assigned, regressed, quality, ignore_mask(assigned, quality))
 
 
 def _window_rows(
     grid: AnchorGrid, anchors: np.ndarray, faces: np.ndarray, noise: np.ndarray | None, noise_sigma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """An iteration's rows, where `anchors` and the boxes to sweep sit in them, and each windowed pair's row and face.
+) -> np.ndarray:
+    """An iteration's rows, as ascending anchor indices.
 
-    The rows are the pulled `anchors`, which are swept, plus every unpulled
-    anchor that a face's window on its level, widened by that level's
-    largest jitter, holds, as ascending anchor indices. Without noise an
-    unpulled anchor stays on itself and meets no face, so no window is
-    searched. On a grid not laid out by `generate_anchors`, or when the
-    windows hold more candidates than the grid has anchors (sweeping every
-    box costs less), every anchor is a row and every row is swept.
+    The rows are the pulled `anchors` plus every anchor that a face's window
+    on its level, widened by that level's largest jitter, holds. Without
+    noise an unpulled anchor stays on itself and meets no face, so the rows
+    are `anchors` and no window is searched. On a grid not laid out by
+    `generate_anchors`, or when the windows hold more candidates than the
+    grid has anchors, every anchor is a row.
     """
     if noise is None:
-        at = np.arange(anchors.size)
-        return anchors, at, at, _EMPTY, _EMPTY
+        return anchors
     found = None
     if grid.lattice:
-        found = _window_candidates(grid, faces, _jitter_reach(grid, noise, anchors, noise_sigma), len(grid))
+        found = _window_candidates(grid, faces, _jitter_reach(grid, noise, noise_sigma), len(grid))
     if found is None:
-        every = np.arange(len(grid))
-        return every, anchors, every, _EMPTY, _EMPTY
-    face, *_, anchor = found
-    # Sorted by anchor, a stable sort keeping each anchor's faces in order.
-    order = np.argsort(anchor, kind="stable")
-    face, anchor = face[order], anchor[order]
-    unpulled = np.append(anchors, -1)[np.searchsorted(anchors, anchor)] != anchor
-    face, anchor = face[unpulled], anchor[unpulled]
-    rows = np.concatenate([anchors, anchor[np.diff(anchor, prepend=-1) != 0]])
+        return np.arange(len(grid))
+    # A sort and a heads mask: numpy's hash-based `unique` (as in `union1d`) costs more here.
+    rows = np.concatenate([anchors, found[-1]])
     rows.sort()
-    at = np.searchsorted(rows, anchors)
-    return rows, at, at, np.searchsorted(rows, anchor), face
+    return rows[np.diff(rows, prepend=-1) != 0]
 
 
 def _spread(values: np.ndarray, at: np.ndarray, n: int, fill) -> np.ndarray:

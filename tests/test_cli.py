@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hambox
-from hambox.cli import main
+from hambox.cli import MAX_ANCHORS, main
 from hambox.ingest import load_wider_annotations
 
 # The 6x6 faces undershoot even the smallest anchor enough to stay
@@ -700,6 +700,22 @@ def test_far_face_assigns_without_the_grid(tmp_path, strategy):
     assert peak < 1 << 20
     rows = read(out / "assign.csv").splitlines()[1:]
     assert any(",positive,0," in row for row in rows)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_anchors_past_the_cap_exit_2(tmp_path):
+    """A 10,000,000 x 400 px grid holds 333,593,750 anchors: `anchors` exits 2 before any per-anchor array.
+
+    Its (N, 2) int32 cells alone would take 2.5 GB, past the child's 2 GB cap.
+    """
+    out = tmp_path / "run"
+    proc = run_child(tmp_path, FAR_FACE_CHILD, ["--out", str(out), "anchors", "--width", "10000000", "--height", "400"])
+    assert "Traceback" not in proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 2
+    assert peak < 1 << 20
+    assert f"an anchor grid of 10000000x400 px holds 333593750 anchors, more than {MAX_ANCHORS}" in proc.stderr
+    assert not out.exists()
 
 
 # A face near (2^52, 2^52): its cover grid holds about 1.7e30 anchors, so

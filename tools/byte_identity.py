@@ -112,6 +112,11 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
                                       "--iters", "8", "--provenance"]),
         ("simulate-noisy-annotations", ["--config", noisy_ini, "--seed", "6", "simulate", "--annotations", crowd,
                                         "--iters", "2", "--provenance"]),
+        # The crowd over two iterations: every-anchor and windowed rows, and the flat scorer's provenance fallback.
+        ("simulate-crowd-wide-noise", ["--config", wide_noise_ini, "--seed", "3", "simulate", "--annotations", crowd,
+                                       "--iters", "2", "--provenance"]),
+        ("simulate-crowd-flat-scorer", ["--config", flat_ini, "--seed", "3", "simulate", "--annotations", crowd,
+                                        "--iters", "2", "--provenance"]),
         ("loss-check", ["--seed", "3", "loss-check", "--trials", "5"]),
     ]
     for strategy in STRATEGIES:
