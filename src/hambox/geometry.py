@@ -205,7 +205,10 @@ def _scored(b: np.ndarray, faces: np.ndarray, box: np.ndarray, face: np.ndarray)
     box, face, iou = box[keep], face[keep], iou[keep]
     # Ranking the IoUs first lets one stable sort finish the order.
     desc = np.unique(-iou, return_inverse=True)[1]
-    order = np.argsort(box * (desc.size + 1) + desc, kind="stable")
+    if box.max(initial=0) > (2**63 - 1 - desc.size) // (desc.size + 1):  # the one-key sort would wrap int64
+        order = np.lexsort((desc, box))
+    else:
+        order = np.argsort(box * (desc.size + 1) + desc, kind="stable")
     return Overlaps(box[order], face[order], iou[order])
 
 

@@ -12,11 +12,13 @@ Randomness comes from a counter-based generator keyed by
 (seed, iteration, stream), so outputs are bit-identical regardless of
 evaluation order or thread count.
 
-Mining and the losses run on rows: the anchors that meet a face, plus with
-noise the unpulled anchors that jitter can carry onto one. Every other
-anchor stays background with F = 0 and adds one known loss term. Only the
-noise draw, which the stream fixes for every anchor, and its per-level bound
-(`_jitter_reach`) read every anchor.
+Mining, the losses and the provenance report run on rows: the anchors that
+meet a face, plus with noise the unpulled anchors that jitter can carry onto
+one. Every other anchor stays background with F = 0 and adds one known loss
+term. Only the noise draw, which the stream fixes for every anchor, its
+per-level bound (`_jitter_reach`) and the loss's background pool read every
+anchor; a scorer that does not rank F = 0 below a correct box makes the
+report rebuild the whole grid.
 """
 
 from __future__ import annotations
@@ -37,12 +39,11 @@ from .anchors import (
     grid_overlaps,
 )
 from .assignment import (
-    BACKGROUND,
     SOURCE_HAMBOX,
-    SOURCE_NONE,
     Assignment,
     MatchParams,
     first_step_from_overlaps,
+    match_first_step,
 )
 from .geometry import Box, Overlaps, as_box_array, elementwise_iou, encode_boxes, overlaps
 from .ingest import FaceAnnotation, ImageRecord, SimulatorSettings, _map_images
@@ -52,6 +53,7 @@ from .mining import (
     CompensationParams,
     _compensate,
     _quality,
+    compute_quality,
     ignore_mask,
 )
 from .stats import CPBB_IOU, ProvenanceReport, combine_reports, provenance_report
@@ -112,11 +114,6 @@ class SimulationRecord:
     n_ignored: int
 
 
-def _keyed_normals(seed: int, iteration: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(iteration, stream))
-    return np.random.Generator(np.random.Philox(ss)).standard_normal(shape)
-
-
 def simulate_regression(
     grid: AnchorGrid,
     faces: Sequence[Box] | np.ndarray,
@@ -132,41 +129,34 @@ def simulate_regression(
     height (y coordinates). `stream` separates images sharing a seed.
     """
     faces = as_box_array(faces)
-    ref, pulled = _pull_targets(grid.boxes, faces, grid_overlaps(grid, faces))
     noise = _noise(model, iteration, stream, grid.boxes.shape)
-    return _regress(grid.boxes, ref, pulled, model.q_at(iteration), model.noise_sigma, noise)
-
-
-def _pull_targets(
-    boxes: np.ndarray, faces: np.ndarray, pairs: Overlaps
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each anchor's reference box (its best-IoU face, or itself) and whether it overlaps a face."""
-    best = pairs.best()
-    ref = boxes.copy()
-    ref[best.box] = faces[best.face]
-    overlap = np.zeros(boxes.shape[0], dtype=bool)
-    overlap[best.box] = True
-    return ref, overlap
+    return _regress(grid.boxes, faces, grid_overlaps(grid, faces), model.q_at(iteration), model.noise_sigma, noise)
 
 
 def _noise(model: RegressorModel, iteration: int, stream: int, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The iteration's keyed normals for every anchor, or None without noise."""
-    return _keyed_normals(model.seed, iteration, stream, shape) if model.noise_sigma > 0.0 else None
+    """The iteration's keyed normals for every anchor, or None without noise (a NaN sigma included)."""
+    if not model.noise_sigma > 0.0:
+        return None
+    ss = np.random.SeedSequence(entropy=model.seed, spawn_key=(iteration, stream))
+    return np.random.Generator(np.random.Philox(ss)).standard_normal(shape)
 
 
 def _regress(
-    boxes: np.ndarray,
-    ref: np.ndarray,
-    pulled: np.ndarray,
-    q: float,
-    noise_sigma: float,
-    noise: np.ndarray | None,
+    boxes: np.ndarray, faces: np.ndarray, pairs: Overlaps, q: float, noise_sigma: float, noise: np.ndarray | None
 ) -> np.ndarray:
-    """Predicted boxes of some anchors, from their rows of boxes, ref, pulled and noise.
+    """Predicted boxes of some anchors, from their boxes, their pair list with `faces` and their noise rows.
 
-    Every row is computed on its own, so a subset of rows comes out
-    bit-equal to the same rows of the whole grid.
+    A box's reference is its best-IoU face (its first pair), or the box
+    itself when it has no pair; the box moves fraction q toward it, and the
+    noise scales with the reference's sides. Every row is computed on its
+    own, so a subset of rows comes out bit-equal to the same rows of the
+    whole grid.
     """
+    best = pairs.best()
+    ref = boxes.copy()
+    ref[best.box] = faces[best.face]
+    pulled = np.zeros(boxes.shape[0], dtype=bool)
+    pulled[best.box] = True
     out = np.where(pulled[:, None], boxes + q * (ref - boxes), boxes)
     if noise is not None:
         ref_w = ref[:, 2] - ref[:, 0]
@@ -236,7 +226,9 @@ class MinedIteration:
     jitter can carry onto one. Every other field has one entry per row, and
     `regressed` is bit-equal to those rows of `simulate_regression`. An
     anchor outside the rows meets no face: it is background with source
-    none, F = 0 and not ignored.
+    none, F = 0 and not ignored. So the rows' fields, with
+    `grid.boxes_at(rows)` for the anchors, are what the losses and
+    `provenance_report` read.
     """
 
     iteration: int
@@ -283,8 +275,7 @@ def mine_image(
         boxes = grid.boxes_at(rows)
         pairs_0 = Overlaps(np.searchsorted(rows, anchors)[pairs.box], pairs.face, pairs.iou)
         first = first_step_from_overlaps(boxes, faces, pairs_0, match)
-        ref, pulled = _pull_targets(boxes, faces, pairs_0)
-        regressed = _regress(boxes, ref, pulled, model.q_at(t), model.noise_sigma, noise)
+        regressed = _regress(boxes, faces, pairs_0, model.q_at(t), model.noise_sigma, noise)
         pairs_t = overlaps(regressed, faces)
         assigned = _compensate(first, boxes, faces, pairs_t, comp)
         quality = _quality(pairs_t, rows.size)
@@ -316,29 +307,6 @@ def _window_rows(
     return rows[np.diff(rows, prepend=-1) != 0]
 
 
-def _spread(values: np.ndarray, at: np.ndarray, n: int, fill) -> np.ndarray:
-    """An n-row array with `values` in rows `at` and `fill` in every other row.
-
-    `at` holds distinct row indices in ascending order, so when it covers
-    all n rows the values are already in place: they come back as they are.
-    """
-    if at.size == n:
-        return values
-    out = np.full((n,) + values.shape[1:], fill, dtype=values.dtype)
-    out[at] = values
-    return out
-
-
-def _spread_assignment(assignment: Assignment, at: np.ndarray, n: int) -> Assignment:
-    """`assignment` moved to rows `at` of n rows; every other row is background with source none."""
-    return Assignment(
-        _spread(assignment.face_of, at, n, BACKGROUND),
-        _spread(assignment.targets, at, n, np.nan),
-        _spread(assignment.source, at, n, SOURCE_NONE),
-        assignment.matched_count.copy(),
-    )
-
-
 def run_simulation(
     dataset: Sequence[ImageRecord],
     anchor_config: AnchorConfig,
@@ -364,7 +332,11 @@ def run_simulation(
     annotations. Each image's grid lives only while that image runs.
 
     Returns the per-iteration records and, with `provenance`, the pooled
-    first-step provenance report of the last iteration (else None).
+    first-step provenance report of the last iteration (else None). The
+    report reads that iteration's rows, unless the scorer does not rank an
+    anchor outside them (F = 0) strictly below a correct box: then its NMS
+    needs their boxes, and the image's whole grid is regressed, scored and
+    matched again with the public functions.
     """
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
@@ -404,15 +376,17 @@ def run_simulation(
                 # The report's NMS reads every box that scores at least its
                 # weakest correct step-1 box, whose F exceeds CPBB_IOU. The
                 # anchors outside the rows have F = 0; a scorer that does not
-                # rank F = 0 strictly lower needs their boxes too.
-                quality = AnchorQuality(_spread(it.quality.F, it.rows, n, 0.0))
-                probs = sigmoid(scorer_scale * quality.F + scorer_bias)
-                weakest = probs[quality.F > CPBB_IOU].min(initial=np.inf)
-                regressed = _spread(it.regressed, it.rows, n, np.nan)
-                if np.any(probs[np.isnan(regressed[:, 0])] >= weakest):
+                # rank F = 0 strictly lower needs their boxes too, so the
+                # whole grid goes through the public functions.
+                if it.rows.size == n or outside[0] < probs[it.quality.F > CPBB_IOU].min(initial=np.inf):
+                    boxes = grid.boxes_at(it.rows)
+                    report = provenance_report(it.first, boxes, it.quality, it.regressed, probs, faces, 0.5)
+                else:
                     regressed = simulate_regression(grid, faces, model, it.iteration, i)
-                first = _spread_assignment(it.first, it.rows, n)
-                report = provenance_report(first, grid, quality, regressed, probs, faces, 0.5)
+                    quality = compute_quality(regressed, faces)
+                    probs = sigmoid(scorer_scale * quality.F + scorer_bias)
+                    first = match_first_step(grid, faces, match_params)
+                    report = provenance_report(first, grid, quality, regressed, probs, faces, 0.5)
         return per_iter, report
 
     per_image = _map_images(work, len(dataset), threads)

@@ -493,7 +493,7 @@ def scale_ratio_sweep(
 
 def provenance_report(
     assignment: Assignment,
-    grid: AnchorGrid,
+    grid: AnchorGrid | np.ndarray,
     quality: AnchorQuality,
     regressed: Sequence[Box] | np.ndarray,
     scores: Sequence[float] | np.ndarray,
@@ -506,6 +506,8 @@ def provenance_report(
     first-step matched vs unmatched anchors; face-level counts track how many
     faces keep a correct matched prediction before and after NMS. The CDF
     sample holds the anchor-to-face IoU of every first-step positive.
+    `grid` is the anchor grid, or the (N, 4) boxes of the anchors that the
+    other arguments cover, such as a mined iteration's rows.
     """
     regressed = as_box_array(regressed)
     faces = as_box_array(faces)
@@ -540,7 +542,8 @@ def provenance_report(
         survived = good & kept_mask[step1_idx]
     faces_cpbb_post = np.count_nonzero(np.bincount(own[survived]))
 
-    iou_cdf = np.sort(elementwise_iou(grid.boxes_at(step1_idx), faces[own]))
+    anchor_boxes = grid.boxes_at(step1_idx) if isinstance(grid, AnchorGrid) else as_box_array(grid)[step1_idx]
+    iou_cdf = np.sort(elementwise_iou(anchor_boxes, faces[own]))
     return ProvenanceReport(
         n_cpbb=n_cpbb,
         n_cpbb_from_matched=n_cpbb_matched,

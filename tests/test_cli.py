@@ -15,6 +15,8 @@ import hambox
 from hambox.cli import MAX_ANCHORS, main
 from hambox.ingest import load_wider_annotations
 
+from .test_overlaps import FAR_XYWH
+
 # The 6x6 faces undershoot even the smallest anchor enough to stay
 # under-matched after the first step, leaving room for compensation.
 FIXTURE = textwrap.dedent(
@@ -736,6 +738,25 @@ def test_grid_past_int64_exit_2(tmp_path, command):
     assert "anchor grid of 4503599627370310x4503599627370310 px holds" in proc.stderr
     assert "more than an int64 index can name" in proc.stderr
 
+
+
+@pytest.mark.parametrize("strategy", ["sms", "dms", "nams", "hambox"])
+def test_far_image_assign_keeps_anchor_order(tmp_path, strategy):
+    """40 faces near x = 2^52, whose anchor indices reach about 2^58.8: each block of rows ascends by anchor."""
+    gt = tmp_path / "gt.txt"
+    gt.write_text(f"far/a.jpg\n{len(FAR_XYWH)}\n" + "".join(f"{x} {y} {w} {h} 0 0 0 0 0 0\n" for x, y, w, h in FAR_XYWH))
+    out = tmp_path / "run"
+    argv = ["--out", str(out), "assign", "--annotations", str(gt), "--strategy", strategy]
+    src = str(Path(hambox.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "hambox.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = [line.split(",") for line in read(out / "assign.csv").splitlines()[1:]]
+    for label in ("positive", "ignore"):
+        anchors = [int(row[1]) for row in rows if row[3] == label]
+        assert anchors == sorted(set(anchors)), label
+    assert any(row[3] == "positive" for row in rows)
 
 def test_simulate_provenance_does_not_import_numpy_ma(tmp_path):
     """numpy 2.4's hash-based `np.unique` imports `numpy.ma`, about 1.1 MB of peak RSS; no command needs it."""

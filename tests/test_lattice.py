@@ -37,11 +37,9 @@ from hambox.cli import _assign_image, main
 from hambox.geometry import Box, elementwise_iou, overlaps
 from hambox.ingest import FaceAnnotation, ImageRecord, SimulatorSettings, ToolConfig, load_wider_annotations
 from hambox.losses import LossParams, sigmoid
-from hambox.mining import AnchorQuality, CompensationParams, compensate, compute_quality, ignore_mask
+from hambox.mining import CompensationParams, compensate, compute_quality, ignore_mask
 from hambox.simulator import (
     RegressorModel,
-    _spread,
-    _spread_assignment,
     mine_image,
     run_simulation,
     simulate_regression,
@@ -218,12 +216,11 @@ class TestNoisyRegressedSearch:
         _, got = run_simulation(dataset, config, comp, LossParams(), model, 1, match, (48, 48), 0.0, provenance=True)
         grid = generate_anchors(config, 48, 48)
         it = next(mine_image(grid, faces, model, 1, 0, match, comp))
-        n = len(grid)
-        assert it.rows.size < n
-        quality = AnchorQuality(_spread(it.quality.F, it.rows, n, 0.0))
-        probs = sigmoid(0.0 * quality.F - 2.0)
+        assert it.rows.size < len(grid)
         full = simulate_regression(grid, faces, model, 0, 0)
-        want = provenance_report(_spread_assignment(it.first, it.rows, n), grid, quality, full, probs, faces, 0.5)
+        quality = compute_quality(full, faces)
+        probs = sigmoid(0.0 * quality.F - 2.0)
+        want = provenance_report(match_first_step(grid, faces, match), grid, quality, full, probs, faces, 0.5)
         assert (want.faces_matched_cpbb, want.faces_matched_cpbb_post_nms) == (1, 0)
         assert got.faces_matched_cpbb_post_nms == 0
 

@@ -15,7 +15,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hambox.anchors import AnchorConfig, AnchorGrid, default_hambox_config, generate_anchors, grid_overlaps
+from hambox.anchors import (
+    AnchorConfig,
+    AnchorGrid,
+    cover_image_size,
+    default_hambox_config,
+    generate_anchors,
+    grid_overlaps,
+)
 from hambox.assignment import (
     BACKGROUND,
     MatchParams,
@@ -177,6 +184,25 @@ def test_grid_overlaps_keeps_one_ulp_overlaps(case):
     if faces is ULP_FACES:
         assert np.count_nonzero(grid.boxes[want.box, 0] == -0.6055000000000001) == 7
 
+
+
+# 40 faces (x, y, w, h) near x = 2^52, as a WIDER line gives them. Their
+# anchors' lattice indices reach about 2^58.8, past where `_scored`'s one-key
+# sort (box x (pairs + 1) + IoU rank) fits in int64.
+FAR_XYWH = [(2**52 - 3000 + 50 * i, 800 + 5 * i, 7 + 2 * (i % 30), 9 + 2 * (i % 30)) for i in range(40)]
+
+
+def test_grid_overlaps_far_from_the_origin_keeps_box_order():
+    faces = np.array([[x, y, x + w, y + h] for x, y, w, h in FAR_XYWH], dtype=np.float64)
+    config = default_hambox_config()
+    grid = generate_anchors(config, *cover_image_size(faces, config))
+    got = grid_overlaps(grid, faces)
+    assert got.box.max() > 2**58
+    assert np.all(np.diff(got.box) >= 0)
+    anchors = np.unique(got.box)
+    want = overlaps(grid.boxes_at(anchors), faces)
+    assert np.array_equal(got.box, anchors[want.box])
+    assert np.array_equal(got.face, want.face) and np.array_equal(got.iou, want.iou)
 
 class TestOverlapsMatchesDense:
     @settings(max_examples=300, deadline=None)

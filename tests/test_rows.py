@@ -10,12 +10,14 @@ anchor with the public functions, and every figure must agree bit for bit.
 import sys
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hambox import simulator
 from hambox.anchors import default_hambox_config, generate_anchors, grid_overlaps
 from hambox.assignment import (
     BACKGROUND,
@@ -34,8 +36,6 @@ from hambox.mining import AnchorQuality, CompensationParams, compensate, compute
 from hambox.simulator import (
     RegressorModel,
     SimulationRecord,
-    _spread,
-    _spread_assignment,
     linear_ramp,
     mine_image,
     run_simulation,
@@ -106,6 +106,23 @@ def assert_same_assignment(got: Assignment, want: Assignment):
     assert np.array_equal(got.targets, want.targets, equal_nan=True)
 
 
+def spread(values, rows, n, fill):
+    """An n-row array with `values` in `rows` and `fill` in every other row."""
+    out = np.full((n,) + values.shape[1:], fill, dtype=values.dtype)
+    out[rows] = values
+    return out
+
+
+def spread_assignment(assignment, rows, n):
+    """`assignment` moved to `rows` of n rows; every other row is background with source none."""
+    return Assignment(
+        spread(assignment.face_of, rows, n, BACKGROUND),
+        spread(assignment.targets, rows, n, np.nan),
+        spread(assignment.source, rows, n, SOURCE_NONE),
+        assignment.matched_count,
+    )
+
+
 def check_run(grid, faces, model, n_iters, match, comp, loss, scale, bias):
     dataset = [ImageRecord("a.jpg", tuple(FaceAnnotation(Box(*f)) for f in faces.tolist()))]
     faces = dataset[0].face_boxes()
@@ -125,10 +142,10 @@ def check_run(grid, faces, model, n_iters, match, comp, loss, scale, bias):
         assert np.array_equal(it.rows, np.unique(it.rows))
         assert np.array_equal(it.regressed, regressed[it.rows])
         # Spread to the grid, an anchor outside the rows is background with F = 0 and no ignore.
-        assert_same_assignment(_spread_assignment(it.first, it.rows, n), first)
-        assert_same_assignment(_spread_assignment(it.assigned, it.rows, n), assigned)
-        assert np.array_equal(_spread(it.quality.F, it.rows, n, 0.0), quality.F)
-        assert np.array_equal(_spread(it.ignore, it.rows, n, False), ignore)
+        assert_same_assignment(spread_assignment(it.first, it.rows, n), first)
+        assert_same_assignment(spread_assignment(it.assigned, it.rows, n), assigned)
+        assert np.array_equal(spread(it.quality.F, it.rows, n, 0.0), quality.F)
+        assert np.array_equal(spread(it.ignore, it.rows, n, False), ignore)
     return mined
 
 
@@ -278,3 +295,60 @@ def test_noisy_simulation_memory_is_rows_not_anchors():
     finally:
         tracemalloc.stop()
     assert peak <= 4e6, peak
+
+
+def test_provenance_adds_no_per_anchor_array():
+    """2 noise-free iterations on 1.33M anchors: the report reads the rows, so provenance keeps the loss pool's peak.
+
+    The peaks measured 11.0 MB both with and without provenance; with the
+    report's arrays spread back to the grid, it was 124.4 MB.
+    """
+    faces = (FaceAnnotation(Box(100.0, 120.0, 140.0, 166.0)), FaceAnnotation(Box(2000.0, 1500.0, 2090.0, 1600.0)))
+    config = default_hambox_config()
+    assert len(generate_anchors(config, 4000, 4000)) > 1_000_000
+    args = ([ImageRecord("a.jpg", faces)], config, CompensationParams(), LossParams(), RegressorModel(), 2)
+    peaks = []
+    for provenance in (False, True):
+        run_simulation(*args, image_size=(4000, 4000), provenance=provenance)  # warm caches and imports
+        tracemalloc.start()
+        try:
+            _, report = run_simulation(*args, image_size=(4000, 4000), provenance=provenance)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert report.n_cpbb > 0
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def spy_run(dataset, model, size, scale):
+    """`run_simulation` with provenance over 1 iteration, and how often it called `simulate_regression`."""
+    args = (dataset, default_hambox_config(), CompensationParams(), LossParams(), model, 1, MatchParams(), size)
+    with mock.patch.object(simulator, "simulate_regression", wraps=simulate_regression) as spy:
+        run_simulation(*args, scale, provenance=True)
+    return spy.call_count
+
+
+@pytest.mark.parametrize("scale, whole_grid", [(4.0, False), (0.0, True), (-3.0, True), (1e-300, True)])
+def test_only_a_scorer_that_does_not_rank_f0_lower_regresses_the_grid(scale, whole_grid):
+    """The report regresses an image's whole grid only when an anchor with F = 0 scores as high as a correct box.
+
+    A scale of 0 or below does not rank F = 0 lower, and neither does one
+    so small that scale x F rounds away.
+    """
+    dataset = synthetic_dataset(2, seed=4)
+    grid = generate_anchors(default_hambox_config(), 640, 640)
+    for record in dataset:  # every image has a correct box
+        faces = record.face_boxes()
+        assert compute_quality(simulate_regression(grid, faces, RegressorModel(), 0), faces).F.max() > 0.5
+    assert spy_run(dataset, RegressorModel(), (640, 640), scale) == (len(dataset) if whole_grid else 0)
+
+
+def test_a_flat_scorer_with_every_anchor_a_row_reads_the_rows():
+    """Jitter of many cells on 160 x 160 images makes every anchor a row, so no box lies outside them."""
+    dataset = synthetic_dataset(2, seed=4, image_size=160)
+    grid = generate_anchors(default_hambox_config(), 160, 160)
+    model = RegressorModel(q=1.0, noise_sigma=1.0)
+    for i, record in enumerate(dataset):
+        it = next(mine_image(grid, record.face_boxes(), model, 1, i, MatchParams(), CompensationParams()))
+        assert it.rows.size == len(grid) and it.quality.F.max() > 0.5
+    assert spy_run(dataset, model, (160, 160), 0.0) == 0

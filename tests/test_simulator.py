@@ -80,6 +80,13 @@ class TestSimulateRegression:
         assert not np.array_equal(base, simulate_regression(grid, faces, model, 3, stream=4))
         assert not np.array_equal(base, simulate_regression(grid, faces, model, 2, stream=5))
 
+    def test_nan_sigma_draws_no_noise(self):
+        """A NaN sigma passes the settings' `noise_sigma >= 0` check, and means no noise, not NaN boxes."""
+        grid = two_level_grid()
+        faces = np.array([[20.0, 20.0, 50.0, 50.0]])
+        got = simulate_regression(grid, faces, RegressorModel(q=0.5, noise_sigma=float("nan"), seed=7), 2)
+        np.testing.assert_array_equal(got, simulate_regression(grid, faces, RegressorModel(q=0.5, seed=7), 2))
+
     def test_no_faces_jitters_around_anchors(self):
         grid = two_level_grid()
         model = RegressorModel(q=1.0, noise_sigma=0.0, seed=1)

@@ -63,6 +63,9 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     # Every anchor scores alike, so the provenance NMS reads boxes that meet no face.
     flat_ini = ini("flat.ini", "[anchors]\nstrides = 16, 32\nbase_scales = 40, 80\n"
                    "[simulator]\nnoise_sigma = 0.3\nscore_scale = 0\n")
+    # The same with a scorer that ranks boxes that meet no face above the others.
+    negative_ini = ini("negative.ini", "[anchors]\nstrides = 16, 32\nbase_scales = 40, 80\n"
+                       "[simulator]\nnoise_sigma = 0.3\nscore_scale = -3\n")
 
     tall_ini = ini("tall.ini", "[anchors]\nstrides = 6, 12, 24, 48\nbase_scales = 20, 44, 90, 170\n"
                    "aspect_ratio = 1.3\n[match]\niou_threshold = 0.6\n")
@@ -108,6 +111,8 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
                                  "--synthetic-images", "3", "--iters", "3", "--provenance"]),
         ("simulate-flat-scorer", ["--config", flat_ini, "--seed", "5", "simulate", "--synthetic-images", "2",
                                   "--iters", "2", "--provenance"]),
+        ("simulate-negative-scorer", ["--config", negative_ini, "--seed", "5", "simulate", "--synthetic-images",
+                                      "2", "--iters", "2", "--provenance"]),
         ("simulate-sim-train-shape", ["--config", sim_train_ini, "simulate", "--synthetic-images", "4",
                                       "--iters", "8", "--provenance"]),
         ("simulate-noisy-annotations", ["--config", noisy_ini, "--seed", "6", "simulate", "--annotations", crowd,
