@@ -1,4 +1,10 @@
-"""Pyramid anchor grid generation: one scale and one aspect ratio per level."""
+"""Pyramid anchor grids, one scale and one aspect ratio per level, and their windowed overlap search.
+
+A grid from `generate_anchors` is a lattice: its anchors follow from the
+config and image size, so a face's anchors are found by window
+(`_window_candidates`) and scored from their indices by `_cells`, the one
+lattice scorer that `grid_overlaps` and the census (`stats`) share.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, Overlaps, _scorable, _scored, as_box_array, overlaps
+from .geometry import Box, Overlaps, _ordered, _runs, _scorable, as_box_array, overlaps
 
 DEFAULT_STRIDES = (4, 8, 16, 32, 64, 128)
 DEFAULT_BASE_SCALES = (16, 32, 64, 128, 256, 512)
@@ -213,22 +219,6 @@ def generate_anchors(config: AnchorConfig, image_w: float, image_h: float) -> An
     return grid
 
 
-def _expand_windows(face, level, row_lo, row_hi, col_lo, col_hi, cols, start):
-    """Every lattice cell in each (face, level) window, in window order, then row-major.
-
-    Bounds are inclusive, and a window with hi < lo is empty. Returns the
-    face, level, row, col and dense grid index of each cell.
-    """
-    n_cols = col_hi - col_lo + 1
-    per = np.maximum(n_cols, 0) * np.maximum(row_hi - row_lo + 1, 0)
-    win = np.repeat(np.arange(per.size), per)
-    at = np.arange(win.size) - np.repeat(np.cumsum(per) - per, per)
-    level = level[win]
-    row = row_lo[win] + at // n_cols[win]
-    col = col_lo[win] + at % n_cols[win]
-    return face[win], level, row, col, start[level] + row * cols[level] + col
-
-
 def _window(lo, hi, half, stride, n, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """First and last cell (inclusive), on one axis, of each window of anchors that can meet [lo, hi].
 
@@ -241,10 +231,8 @@ def _window(lo, hi, half, stride, n, pad: float = 0.0) -> tuple[np.ndarray, np.n
     return first.astype(np.int64), last.astype(np.int64)
 
 
-def _window_candidates(
-    grid: AnchorGrid, faces: np.ndarray, reach: np.ndarray | None = None, limit: int | None = None
-) -> tuple[np.ndarray, ...] | None:
-    """Face, level, row, col and anchor index of every anchor of a lattice grid that can meet a valid face.
+def _window_candidates(grid: AnchorGrid, faces: np.ndarray, reach: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Face, level and inclusive row and col bounds of the nonempty windows of a lattice grid's valid faces.
 
     Each valid face spans, on each level, a window of cells whose anchors
     can meet it. `reach`, an (L, 2) array, lets every x coordinate of a
@@ -253,13 +241,11 @@ def _window_candidates(
     moved box can meet the face. Windows are widened by one cell on every
     side so that rounding in the bound never drops an anchor: a face that
     meets an anchor by one ulp can round its bound one cell short (the
-    example of `test_grid_overlaps_keeps_one_ulp_overlaps`). Candidates
-    come per face in index order, then row-major per level, so the faces of
-    one anchor come in ascending order. Work is O(faces x levels +
-    candidates). With `limit`, windows that hold more candidates than that
-    are not expanded, and the result is None.
+    example of `test_grid_overlaps_keeps_one_ulp_overlaps`). Windows come
+    per face in index order, then per level, the order `_cells` needs to
+    give each anchor's faces in ascending order. Work is O(faces x levels).
     """
-    strides, aw, ah, rows, cols, start = grid._layout
+    strides, aw, ah, rows, cols, _ = grid._layout
     half_w, half_h = aw / 2.0, ah / 2.0
     if reach is not None:
         half_w, half_h = half_w + reach[:, 0], half_h + reach[:, 1]
@@ -268,24 +254,90 @@ def _window_candidates(
     s, f = strides[level], faces[face]
     col_lo, col_hi = _window(f[:, 0], f[:, 2], half_w[level], s, cols[level], 1.0)
     row_lo, row_hi = _window(f[:, 1], f[:, 3], half_h[level], s, rows[level], 1.0)
-    if limit is not None and np.sum(np.maximum(col_hi - col_lo + 1, 0) * np.maximum(row_hi - row_lo + 1, 0)) > limit:
-        return None
-    return _expand_windows(face, level, row_lo, row_hi, col_lo, col_hi, cols, start)
+    keep = np.flatnonzero((col_lo <= col_hi) & (row_lo <= row_hi))
+    return face[keep], level[keep], row_lo[keep], row_hi[keep], col_lo[keep], col_hi[keep]
+
+
+def _overlap(cell, stride, half, lo, hi):
+    """Overlap of [lo, hi] with each anchor's `_extent` on one axis, clamped at 0, and the extent's length.
+
+    The extent is the one `_cell_boxes` gives each box of the grid, and its
+    length is taken from its coordinates, as `pairwise_iou` takes it, so
+    IoUs and their ties are bit-equal to the dense matrix's.
+    """
+    a0, a1 = _extent(cell, stride, half)
+    return np.maximum(np.minimum(a1, hi) - np.maximum(a0, lo), 0.0), a1 - a0
+
+
+def _spans(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of n[i] consecutive cells from lo[i], each cell's run and cell, run by run."""
+    return np.repeat(np.arange(n.size), n), _runs(lo, n)
+
+
+def _axis(lo, n, window, stride, half, f_lo, f_hi):
+    """Each window's cells on one axis: their window, cell, overlap with the window's face and length.
+
+    `window` holds each window's face and layer; each window holds n cells
+    from lo.
+    """
+    run, cell = _spans(lo, n)
+    face, layer = window[0][run], window[1][run]
+    return (run, cell, *_overlap(cell, stride[layer], half[layer], f_lo[face], f_hi[face]))
+
+
+def _cells(
+    faces: np.ndarray, layers: tuple[np.ndarray, ...], windows: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window, anchor index and IoU of every cell of nonempty `windows`, row-major in window order.
+
+    The one lattice scorer: `grid_overlaps` and the census (`stats`) both
+    score with it. `layers` is a `_lattice`, and `windows` holds each
+    window's face, layer and inclusive row and col bounds. Each window's
+    columns and rows are scored once, on their own axis, and each cell
+    multiplies its column's figures by its row's, in the order
+    `pairwise_iou` multiplies a box's, so IoUs are bit-equal to it where
+    they are positive. An IoU that is not positive may come out 0, negative
+    or NaN.
+    """
+    strides, aw, ah, _, cols, start = layers
+    face, layer, row_lo, row_hi, col_lo, col_hi = windows
+    n_cols = col_hi - col_lo + 1
+    col, ix, width = _axis(col_lo, n_cols, windows, strides, aw / 2.0, faces[:, 0], faces[:, 2])[1:]
+    yw, row, iy, height = _axis(row_lo, row_hi - row_lo + 1, windows, strides, ah / 2.0, faces[:, 1], faces[:, 3])
+    # Every cell of each window row: its row entry, and its column entry
+    # from the window's first.
+    per_row = n_cols[yw]
+    yi, xi = _spans(np.cumsum(n_cols)[yw] - per_row, per_row)
+    inter = ix[xi]
+    inter *= iy[yi]
+    iou = width[xi]
+    iou *= height[yi]
+    # The union is 0 only where the intersection is: 0 / 0 is NaN, which no
+    # threshold keeps. The area of a face without a window, such as one with
+    # an infinite side, may be NaN or overflow, but no cell reads it.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        iou += ((faces[:, 2] - faces[:, 0]) * (faces[:, 3] - faces[:, 1]))[face[yw]][yi]
+        iou -= inter
+        np.divide(inter, iou, out=iou)
+    row_first = start[layer[yw]] + row * cols[layer[yw]]
+    return yw[yi], row_first[yi] + col[xi], iou
 
 
 def grid_overlaps(grid: AnchorGrid, faces: Sequence[Box] | np.ndarray) -> Overlaps:
     """``overlaps(grid.boxes, faces)``, reading only anchors a face can reach.
 
-    On a lattice grid only the `_window_candidates` of the faces are scored,
-    and their boxes come from their indices, so work is O(faces x levels +
-    candidates) rather than O(anchors). Rows, order and IoUs are those of
+    On a lattice grid only the cells of the faces' `_window_candidates` are
+    scored, by `_cells` from their indices, so work is O(faces x levels +
+    cells) rather than O(anchors). Rows, order and IoUs are those of
     `overlaps`. Other grids go through `overlaps`.
     """
     faces = as_box_array(faces)
     if not grid.lattice:
         return overlaps(grid.boxes, faces)
-    face, level, row, col, anchor = _window_candidates(grid, faces)
-    return _scored(_cell_boxes(grid._layout, level, row, col), faces, anchor, face)
+    windows = _window_candidates(grid, faces)
+    window, anchor, iou = _cells(faces, grid._layout, windows)
+    keep = iou > 0.0
+    return _ordered(anchor[keep], windows[0][window[keep]], iou[keep])
 
 
 def _pair_rows(grid: AnchorGrid, faces: Sequence[Box] | np.ndarray) -> tuple[np.ndarray, Overlaps]:

@@ -18,7 +18,7 @@ import json
 import math
 import string
 import sys
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -35,7 +35,6 @@ from .ingest import (
     ImageRecord,
     ToolConfig,
     _map_images,
-    config_as_dict,
     filter_valid,
     load_config,
     load_wider_annotations,
@@ -116,7 +115,7 @@ def _emit(out: str, cfg: ToolConfig, texts: dict[str, str]) -> int:
     manifest = {
         "tool_version": __version__,
         "seed": cfg.simulator.seed,
-        "config": config_as_dict(cfg),
+        "config": asdict(cfg),  # json writes tuples as arrays
         "outputs": checksums,
     }
     (out_dir / "manifest.json").write_text(

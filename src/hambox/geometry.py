@@ -202,7 +202,11 @@ def _scored(b: np.ndarray, faces: np.ndarray, box: np.ndarray, face: np.ndarray)
     iou = np.zeros_like(inter)
     np.divide(inter, union, out=iou, where=union > 0.0)  # both areas may underflow to 0
     keep = iou > 0.0
-    box, face, iou = box[keep], face[keep], iou[keep]
+    return _ordered(box[keep], face[keep], iou[keep])
+
+
+def _ordered(box: np.ndarray, face: np.ndarray, iou: np.ndarray) -> Overlaps:
+    """The pairs in `Overlaps` order; the pairs of a box that tie on IoU must come in ascending face order."""
     # Ranking the IoUs first lets one stable sort finish the order.
     desc = np.unique(-iou, return_inverse=True)[1]
     if box.max(initial=0) > (2**63 - 1 - desc.size) // (desc.size + 1):  # the one-key sort would wrap int64

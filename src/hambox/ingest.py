@@ -410,16 +410,3 @@ def dump_config(cfg: ToolConfig) -> str:
                 lines.append(f"{key} = {encode(value)}")
         blocks.append("\n".join(lines) + "\n")
     return "\n".join(blocks)
-
-
-def config_as_dict(cfg: ToolConfig) -> dict:
-    """Plain-JSON view of a config, for run manifests."""
-
-    def plain(obj):
-        if hasattr(obj, "__dataclass_fields__"):
-            return {f.name: plain(getattr(obj, f.name)) for f in dataclass_fields(obj)}
-        if isinstance(obj, tuple):
-            return [plain(v) for v in obj]
-        return obj
-
-    return plain(cfg)

@@ -123,10 +123,10 @@ def regression_aware_cls_loss(
     With `outside` = (rows, n, p), the arguments cover only the anchors
     `rows` (ascending indices) of n anchors. Every other anchor is
     background with F = 0, not ignored, and scores the one-element `p`, so
-    each of them adds the same background term. The background sum fills
-    its pool with that term, writes the rows' terms at their places in
-    anchor order and sums the pool: bit-equal to the sum over every anchor,
-    without a focal term per anchor.
+    each of them adds the same background term. The background pool is
+    that term with the rows' terms at their places in anchor order, and
+    `_pool_sum` sums it without building it: bit-equal to the sum over
+    every anchor, in O(rows) memory whatever n is.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape[0] != assignment.n_anchors:
@@ -149,14 +149,55 @@ def regression_aware_cls_loss(
         if outside is not None:
             rows, n, p = outside
             at = np.flatnonzero(background)
-            pool = np.full(n - rows.size + at.size, sigmoid_focal(p, 0, params)[0])
             # A row's place in the pool: the anchors outside the rows before
             # it (its anchor index less its row), then the pool's rows before it.
-            pool[rows[at] - at + np.arange(at.size)] = terms
-            terms = pool
-        bg = np.sum(terms)
+            c = sigmoid_focal(p, 0, params)[0]
+            bg = _pool_sum(n - rows.size + at.size, c, rows[at] - at + np.arange(at.size), terms)
+        else:
+            bg = np.sum(terms)
         cls_norm = float((fg + bg) / n_norm)
     return LossBreakdown(cls_compensated=cls_com, cls_normal=cls_norm, n_com=n_com, n_norm=n_norm)
+
+
+# Pool blocks of at most this many values, or of at most `_POOL_PER_VALUE`
+# per written value, are built and summed whole by `_pool_sum`.
+_POOL_BUILD = 2**16
+_POOL_PER_VALUE = 64
+
+
+def _pool_sum(n: int, c: float, at: np.ndarray, values: np.ndarray) -> np.float64:
+    """What `np.sum` returns for n copies of c with `values` written at the ascending positions `at`.
+
+    `np.sum` of a contiguous float64 array is numpy's pairwise summation
+    (`pairwise_sum` in numpy/_core/src/umath/loops_utils.h.src): below 8
+    values a plain loop, up to 128 eight accumulators, and above that the
+    sums of its first n2 and last n - n2 values, where n2 is n / 2 rounded
+    down to a multiple of 8. This follows the splits. A block's sum depends
+    only on its length and values, so the sum of an all-c block is
+    memoized by its length, and only blocks that hold a written value
+    recurse; a block small enough (`_POOL_BUILD`, `_POOL_PER_VALUE`) is
+    built and handed to `np.sum`. Work is O(len(at) log n) beyond the
+    built blocks, and no block of more than max(2^16, 64 len(at)) values
+    is built.
+    """
+    same: dict[int, np.float64] = {}
+
+    def block(lo: int, m: int, i: int, j: int) -> np.float64:  # positions lo .. lo + m - 1 hold at[i:j]
+        if i == j and m in same:
+            return same[m]
+        if m <= max(_POOL_BUILD, _POOL_PER_VALUE * (j - i)):
+            pool = np.full(m, c)
+            pool[at[i:j] - lo] = values[i:j]
+            total = np.sum(pool)
+        else:
+            half = m // 2 - m // 2 % 8
+            k = i + int(np.searchsorted(at[i:j], lo + half))
+            total = block(lo, half, i, k) + block(lo + half, m - half, k, j)
+        if i == j:
+            same[m] = total
+        return total
+
+    return block(0, n, 0, at.size)
 
 
 def smooth_l1(x, beta: float):

@@ -32,6 +32,7 @@ from .anchors import (
     AnchorConfig,
     AnchorGrid,
     _pair_rows,
+    _spans,
     _window_candidates,
     cover_image_size,
     default_hambox_config,
@@ -45,7 +46,7 @@ from .assignment import (
     first_step_from_overlaps,
     match_first_step,
 )
-from .geometry import Box, Overlaps, as_box_array, elementwise_iou, encode_boxes, overlaps
+from .geometry import Box, Overlaps, _runs, as_box_array, elementwise_iou, encode_boxes, overlaps
 from .ingest import FaceAnnotation, ImageRecord, SimulatorSettings, _map_images
 from .losses import LossParams, location_loss, regression_aware_cls_loss, sigmoid
 from .mining import (
@@ -291,18 +292,24 @@ def _window_rows(
     on its level, widened by that level's largest jitter, holds. Without
     noise an unpulled anchor stays on itself and meets no face, so the rows
     are `anchors` and no window is searched. On a grid not laid out by
-    `generate_anchors`, or when the windows hold more candidates than the
-    grid has anchors, every anchor is a row.
+    `generate_anchors`, or when the windows hold more cells than the grid
+    has anchors, every anchor is a row; the cell count is checked before
+    any window is expanded. The windows' cells are expanded to anchor
+    indices only, row by row, and not scored: no IoU is read before the
+    pull, after which `overlaps` scores the regressed rows.
     """
     if noise is None:
         return anchors
-    found = None
     if grid.lattice:
-        found = _window_candidates(grid, faces, _jitter_reach(grid, noise, noise_sigma), len(grid))
-    if found is None:
+        reach = _jitter_reach(grid, noise, noise_sigma)
+        _, level, row_lo, row_hi, col_lo, col_hi = _window_candidates(grid, faces, reach)
+        n_rows, n_cols = row_hi - row_lo + 1, col_hi - col_lo + 1
+    if not grid.lattice or n_rows @ n_cols > len(grid):
         return np.arange(len(grid))
+    *_, cols, start = grid._layout
+    run, row = _spans(row_lo, n_rows)
     # A sort and a heads mask: numpy's hash-based `unique` (as in `union1d`) costs more here.
-    rows = np.concatenate([anchors, found[-1]])
+    rows = np.concatenate([anchors, _runs(start[level[run]] + row * cols[level[run]] + col_lo[run], n_cols[run])])
     rows.sort()
     return rows[np.diff(rows, prepend=-1) != 0]
 

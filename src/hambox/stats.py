@@ -7,8 +7,9 @@ anchor can reach the threshold only if its center lies in a window that the
 threshold itself narrows: the face's overlap window, shrunk on each axis by
 the overlap the threshold requires (`_windows`, which also bounds the
 rounding). The lattice comes from `anchors`: its layout and cover size
-(`_lattice`, `_cover`), each window's cells (`_window`) and each anchor's
-extent (`_extent`) are the ones the dense grid is built and searched with.
+(`_lattice`, `_cover`) and each window's cells (`_window`) are the ones the
+grid is built and searched with, and the windows' cells are scored by
+`anchors._cells`, the one lattice scorer, which `grid_overlaps` shares.
 Within the candidate set the per-anchor argmax and tie-breaks are identical
 to the dense matcher, so counts agree exactly with brute force over the full
 grid (the tests assert this). A run walks the dataset once, in blocks of
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchors import AnchorConfig, AnchorGrid, _cover, _extent, _lattice, _window
+from .anchors import AnchorConfig, AnchorGrid, _cells, _cover, _lattice, _window
 from .assignment import BACKGROUND, SOURCE_STEP1, Assignment
 from .geometry import Box, as_box_array, elementwise_iou, nms
 from .ingest import ImageRecord, _map_images
@@ -209,66 +210,6 @@ def _windows(
     return fi[live], layer[live], row_lo[live], row_hi[live], col_lo[live], col_hi[live]
 
 
-def _overlap(cell, stride, half, lo, hi):
-    """Overlap of [lo, hi] with each anchor's `_extent` on one axis, clamped at 0, and the extent's length.
-
-    The extent is the one `anchors._cell_boxes` gives the dense matcher, and
-    its length is taken from its coordinates, as `pairwise_iou` takes it, so
-    IoUs and their ties are bit-equal to the dense matcher's.
-    """
-    a0, a1 = _extent(cell, stride, half)
-    return np.maximum(np.minimum(a1, hi) - np.maximum(a0, lo), 0.0), a1 - a0
-
-
-def _spans(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For runs of n[i] consecutive cells from lo[i], each cell's run and cell, run by run."""
-    run = np.repeat(np.arange(n.size), n)
-    return run, lo[run] + (np.arange(run.size) - np.repeat(np.cumsum(n) - n, n))
-
-
-def _axis(lo, n, window, stride, half, f_lo, f_hi):
-    """Each window's cells on one axis: their window, cell, overlap with the window's face and length.
-
-    `window` holds each window's face and layer; each window holds n cells
-    from lo.
-    """
-    run, cell = _spans(lo, n)
-    face, layer = window[0][run], window[1][run]
-    return (run, cell, *_overlap(cell, stride[layer], half[layer], f_lo[face], f_hi[face]))
-
-
-def _cells(
-    faces: np.ndarray, layers: tuple[np.ndarray, ...], windows: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Window, anchor index and IoU of every cell of nonempty `windows`, row-major in window order.
-
-    Each window's columns and rows are scored once, on their own axis, and
-    each cell multiplies its column's figures by its row's, in the order the
-    dense matcher multiplies a box's.
-    """
-    strides, aw, ah, _, cols, start = layers
-    face, layer, row_lo, row_hi, col_lo, col_hi = windows
-    n_cols = col_hi - col_lo + 1
-    col, ix, width = _axis(col_lo, n_cols, windows, strides, aw / 2.0, faces[:, 0], faces[:, 2])[1:]
-    yw, row, iy, height = _axis(row_lo, row_hi - row_lo + 1, windows, strides, ah / 2.0, faces[:, 1], faces[:, 3])
-    # Every cell of each window row: its row entry, and its column entry
-    # from the window's first.
-    per_row = n_cols[yw]
-    yi, xi = _spans(np.cumsum(n_cols)[yw] - per_row, per_row)
-    inter = ix[xi]
-    inter *= iy[yi]
-    iou = width[xi]
-    iou *= height[yi]
-    iou += ((faces[:, 2] - faces[:, 0]) * (faces[:, 3] - faces[:, 1]))[face[yw]][yi]
-    iou -= inter
-    # The union is 0 only where the intersection is: 0 / 0 is NaN, which no
-    # threshold keeps.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(inter, iou, out=iou)
-    row_first = start[layer[yw]] + row * cols[layer[yw]]
-    return yw[yi], row_first[yi] + col[xi], iou
-
-
 def _positives(
     faces: np.ndarray, layers: tuple[np.ndarray, ...], windows: tuple[np.ndarray, ...], iou_threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -320,51 +261,6 @@ def _image_census(
     return np.bincount(face, minlength=faces.shape[0]), level_hit
 
 
-def _tally_configs(
-    faces: np.ndarray,
-    counts: np.ndarray,
-    sizes: np.ndarray,
-    iou_threshold: float,
-    image_sizes: np.ndarray | None,
-    out: np.ndarray,
-) -> None:
-    """Add the census of a block of images under the configs of `sizes` (K, 3, L) to `out`'s rows.
-
-    `faces` holds each image's faces in turn, `counts` (B,) how many each
-    has (at least one), and `image_sizes` (B, 2) each image's width and
-    height, or None for each image's cover. The layers of every image are
-    stacked into one lattice, so an anchor index names the image as well
-    as the config and level, and they are scored in passes of at most
-    `_PASS_CELLS` cells that split only between (image, config) units.
-    """
-    n_images, (n_configs, _, n_levels), n_faces = counts.size, sizes.shape, faces.shape[0]
-    n_layers = n_configs * n_levels
-    if image_sizes is None:
-        w, h = _cover(np.maximum.reduceat(faces[:, 2:], np.cumsum(counts) - counts), sizes)
-    else:
-        w, h = (np.repeat(v, n_configs)[:, None] for v in image_sizes.T)
-    layers = _lattice(np.tile(sizes, (n_images, 1, 1)), w, h)
-    windows = _windows(faces, np.repeat(np.arange(n_images), counts), layers, n_layers, iou_threshold)
-    n_units = n_images * n_configs
-    per = (windows[3] - windows[2] + 1) * (windows[5] - windows[4] + 1)
-    # Cells and windows before each unit.
-    cells = np.concatenate(([0], np.cumsum(np.bincount(windows[1] // n_levels, per, minlength=n_units))))
-    ends = np.searchsorted(windows[1], np.arange(n_units + 1) * n_levels)
-    # Each face against its own image's layers: at most _PASS_CELLS, or one image's faces x levels.
-    hit = np.zeros((n_layers, n_faces), dtype=bool)
-    c0 = 0
-    while c0 < n_units:
-        c1 = max(c0 + 1, int(np.searchsorted(cells, cells[c0] + _PASS_CELLS, side="right")) - 1)
-        face, layer = _positives(faces, layers, [v[ends[c0] : ends[c1]] for v in windows], iou_threshold)
-        layer %= n_layers
-        hit[layer, face] = True
-        out[:, 2] += np.bincount(layer // n_levels, minlength=n_configs)
-        c0 = c1
-    hit = hit.reshape(n_configs, n_levels, n_faces)
-    out[:, 1] += hit.any(axis=1).sum(axis=1)
-    out[:, 3:] += hit.sum(axis=2)
-
-
 def _block_tally(
     faces: np.ndarray,
     counts: np.ndarray,
@@ -374,18 +270,52 @@ def _block_tally(
 ) -> np.ndarray:
     """A block of images' census per config: faces, matched faces, positives, then matched faces per level.
 
-    Arguments are those of `_tally_configs`. Configs are scored in runs
-    whose faces x configs x levels fit `_PASS_CELLS`, at least one config
-    at a time, so memory is bounded whatever K is.
+    `sizes` (K, 3, L) stacks the configs' `_sizes`. `faces` holds each
+    image's faces in turn, `counts` (B,) how many each has (at least one),
+    and `image_sizes` (B, 2) each image's width and height, or None for
+    each image's cover. Configs are taken in runs whose faces x configs x
+    levels fit `_PASS_CELLS`, at least one config at a time, so memory is
+    bounded whatever K is. A run's layers of every image are stacked into
+    one lattice, so an anchor index names the image as well as the config
+    and level, and they are scored by `_positives` in passes of at most
+    `_PASS_CELLS` cells that split only between (image, config) units. A
+    block without faces counts 0 faces under every config.
     """
     n_configs, _, n_levels = sizes.shape
+    n_images, n_faces = counts.size, faces.shape[0]
     tally = np.zeros((n_configs, 3 + n_levels), dtype=np.int64)
-    tally[:, 0] = faces.shape[0]
-    if faces.shape[0] == 0:
+    tally[:, 0] = n_faces
+    if n_faces == 0:
         return tally
-    run = max(1, _PASS_CELLS // (faces.shape[0] * n_levels))
+    run = max(1, _PASS_CELLS // (n_faces * n_levels))
     for k0 in range(0, n_configs, run):
-        _tally_configs(faces, counts, sizes[k0 : k0 + run], iou_threshold, image_sizes, tally[k0 : k0 + run])
+        part, out = sizes[k0 : k0 + run], tally[k0 : k0 + run]
+        n_run = part.shape[0]
+        n_layers = n_run * n_levels
+        if image_sizes is None:
+            w, h = _cover(np.maximum.reduceat(faces[:, 2:], np.cumsum(counts) - counts), part)
+        else:
+            w, h = (np.repeat(v, n_run)[:, None] for v in image_sizes.T)
+        layers = _lattice(np.tile(part, (n_images, 1, 1)), w, h)
+        windows = _windows(faces, np.repeat(np.arange(n_images), counts), layers, n_layers, iou_threshold)
+        n_units = n_images * n_run
+        per = (windows[3] - windows[2] + 1) * (windows[5] - windows[4] + 1)
+        # Cells and windows before each unit.
+        cells = np.concatenate(([0], np.cumsum(np.bincount(windows[1] // n_levels, per, minlength=n_units))))
+        ends = np.searchsorted(windows[1], np.arange(n_units + 1) * n_levels)
+        # Each face against its own image's layers: at most _PASS_CELLS, or one image's faces x levels.
+        hit = np.zeros((n_layers, n_faces), dtype=bool)
+        c0 = 0
+        while c0 < n_units:
+            c1 = max(c0 + 1, int(np.searchsorted(cells, cells[c0] + _PASS_CELLS, side="right")) - 1)
+            face, layer = _positives(faces, layers, [v[ends[c0] : ends[c1]] for v in windows], iou_threshold)
+            layer %= n_layers
+            hit[layer, face] = True
+            out[:, 2] += np.bincount(layer // n_levels, minlength=n_run)
+            c0 = c1
+        hit = hit.reshape(n_run, n_levels, n_faces)
+        out[:, 1] += hit.any(axis=1).sum(axis=1)
+        out[:, 3:] += hit.sum(axis=2)
     return tally
 
 

@@ -704,6 +704,30 @@ def test_far_face_assigns_without_the_grid(tmp_path, strategy):
     assert any(",positive,0," in row for row in rows)
 
 
+# The far inputs: one face at x = 10,000,000 (a 2.7e8-anchor cover grid)
+# and the 40 `FAR_XYWH` faces near x = 2^52 (about 5e17 anchors).
+FAR_FILES = {
+    "far-face": "far/a.jpg\n1\n10000000 10 8 8 0 0 0 0 0 0\n",
+    "far-xywh": f"far/a.jpg\n{len(FAR_XYWH)}\n" + "".join(f"{x} {y} {w} {h} 0 0 0 0 0 0\n" for x, y, w, h in FAR_XYWH),
+}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("text", FAR_FILES.values(), ids=FAR_FILES.keys())
+def test_far_image_simulates_without_the_grid(tmp_path, text):
+    """Noise-free `simulate` on a far image: the loss sums its background pool without building it."""
+    gt = tmp_path / "gt.txt"
+    gt.write_text(text)
+    out = tmp_path / "run"
+    argv = ["--out", str(out), "simulate", "--annotations", str(gt), "--iters", "1", "--provenance"]
+    proc = run_child(tmp_path, FAR_FACE_CHILD, argv)
+    assert "Traceback" not in proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak < 16 << 20
+    assert len(read(out / "simulation.csv").splitlines()) == 2
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
 def test_anchors_past_the_cap_exit_2(tmp_path):
     """A 10,000,000 x 400 px grid holds 333,593,750 anchors: `anchors` exits 2 before any per-anchor array.

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from hambox import losses
 from hambox.assignment import BACKGROUND, SOURCE_HAMBOX, SOURCE_NONE, SOURCE_STEP1, Assignment
 from hambox.losses import (
     LossParams,
+    _pool_sum,
     cls_loss_grad,
     location_loss,
     regression_aware_cls_loss,
@@ -283,3 +285,32 @@ class TestClsLossGrad:
         g = cls_loss_grad(logits, a, q, ignore, params)
         stepped = loss_at(logits - 0.05 * g)
         assert stepped <= loss_at(logits) + 1e-15
+
+
+# Pool lengths around numpy's pairwise-summation boundaries: the 8-value
+# loop, the 128-value block of eight accumulators, the first splits, and
+# past the 2^16 values `_pool_sum` builds whole.
+POOL_LENGTHS = [*range(0, 18), *range(120, 138), *range(250, 268), 1031, 8200, 65535, 65536, 65537, 65545,
+                131_080, 262_151, 400_009]
+
+
+@pytest.mark.parametrize("build", [None, 128])
+@pytest.mark.parametrize("n", POOL_LENGTHS)
+def test_pool_sum_is_np_sum_of_the_built_pool(monkeypatch, n, build):
+    """`_pool_sum` follows numpy's summation order: a numpy that changes it fails here.
+
+    Built whole from blocks of at most 128 values, the most numpy sums
+    without a split, short pools take the splits too.
+    """
+    if build:
+        monkeypatch.setattr(losses, "_POOL_BUILD", build)
+        monkeypatch.setattr(losses, "_POOL_PER_VALUE", 0)
+    rng = np.random.default_rng(n)
+    for k in sorted({min(n, k) for k in (0, 1, 2, 9, 300, 5000)}):
+        at = np.sort(rng.choice(n, size=k, replace=False)) if k else np.zeros(0, dtype=np.int64)
+        c = float(rng.uniform(1e-3, 1.0))
+        values = rng.uniform(0.0, 1.0, size=k) * 10.0 ** rng.integers(-6, 7, size=k)
+        pool = np.full(n, c)
+        pool[at] = values
+        assert _pool_sum(n, c, at, values) == np.sum(pool), (n, k)
+

@@ -187,7 +187,7 @@ def test_grid_overlaps_keeps_one_ulp_overlaps(case):
 
 
 # 40 faces (x, y, w, h) near x = 2^52, as a WIDER line gives them. Their
-# anchors' lattice indices reach about 2^58.8, past where `_scored`'s one-key
+# anchors' lattice indices reach about 2^58.8, past where `_ordered`'s one-key
 # sort (box x (pairs + 1) + IoU rank) fits in int64.
 FAR_XYWH = [(2**52 - 3000 + 50 * i, 800 + 5 * i, 7 + 2 * (i % 30), 9 + 2 * (i % 30)) for i in range(40)]
 

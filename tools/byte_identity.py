@@ -6,7 +6,8 @@ BASE_SRC and CHANGE_SRC are the `src` directories of two checkouts, for
 example a `git archive` of the parent commit and the working tree. Run from
 the root of a checkout: the seeded inputs are written by that checkout's
 `benchmarks/inputs.py` (the crowd, census and sim-train inputs of seeds 1
-and 7, plus hand-set variants), so both trees read the same files.
+and 7, plus hand-set variants, among them faces far from the origin), so
+both trees read the same files.
 
 Every invocation runs in its own `python -m hambox.cli` subprocess with
 PYTHONPATH set to one tree. Per invocation the tool compares the exit code,
@@ -33,6 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7)
 STRATEGIES = ("sms", "dms", "nams", "hambox")
+# (x, y, w, h) of the 40 faces near x = 2^52 of `tests/test_overlaps.py`.
+FAR_XYWH = [(2**52 - 3000 + 50 * i, 800 + 5 * i, 7 + 2 * (i % 30), 9 + 2 * (i % 30)) for i in range(40)]
 
 
 def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
@@ -55,6 +58,11 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     small = gt("small_gt.txt", census[:8])
     braces = gt("braces_gt.txt", [replace(im, path=f"odd/{{x}}%d/{i}}}{{.jpg") for i, im in enumerate(census[8:14])])
     crowd = gt("crowd_gt.txt", inputs.crowd_images(1))
+    # Far from the origin: 40 faces near x = 2^52, whose lattice indices reach about 2^58.8, and one face at
+    # x = 10,000,000, whose cover grid holds 2.7e8 anchors.
+    far_xywh = ini("far_xywh_gt.txt", f"far/a.jpg\n{len(FAR_XYWH)}\n"
+                   + "".join(f"{x} {y} {w} {h} 0 0 0 0 0 0\n" for x, y, w, h in FAR_XYWH))
+    far_face = ini("far_face_gt.txt", "far/a.jpg\n1\n10000000 10 8 8 0 0 0 0 0 0\n")
     grid_ini = ini("grid.ini", "[anchors]\nstrides = 16, 32\nbase_scales = 40, 80\nscale_ratio = 1.0\n")
     noisy_ini = ini("noisy.ini", "[simulator]\nnoise_sigma = 0.05\nq = 0.8\n[compensation]\nk = 5\n")
     min_side_ini = ini("min_side.ini", "[data]\nmin_side = 6\n")
@@ -153,6 +161,11 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     # Jitter past the windows' limit on 2 of the 8 crowd images: every anchor is a row there.
     runs.append(("assign-crowd-wide-noise", ["--config", wide_noise_ini, "assign", "--annotations", crowd,
                                              "--strategy", "hambox"]))
+    for strategy in STRATEGIES:
+        runs.append((f"assign-far-xywh-{strategy}", ["assign", "--annotations", far_xywh, "--strategy", strategy]))
+    runs.append(("match-stats-far-xywh", ["match-stats", "--annotations", far_xywh, "--ratios", "0.5:1.0:0.1"]))
+    runs.append(("assign-far-face-hambox", ["assign", "--annotations", far_face, "--strategy", "hambox"]))
+    runs.append(("match-stats-far-face", ["match-stats", "--annotations", far_face]))
     runs.append(("assign-T-K", ["--seed", "6", "assign", "--annotations", small, "--strategy", "hambox",
                                 "--sim-quality", "1.0", "--T", "0.6", "--K", "4"]))
     for seed in SEEDS:
