@@ -58,11 +58,16 @@ def _area(boxes: np.ndarray) -> np.ndarray:
 
 
 def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of (..., 4) boxes `a` and `b`, broadcast against each other; 0 where the union is not positive."""
+    """IoU of (..., 4) boxes `a` and `b`, broadcast against each other; 0 where the union is not positive.
+
+    Where two finite areas sum past the float range, the union is +inf and
+    the IoU 0, without an overflow warning.
+    """
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    union = _area(a) + _area(b) - inter
+    with np.errstate(over="ignore"):
+        union = _area(a) + _area(b) - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out
@@ -107,7 +112,7 @@ class Overlaps(NamedTuple):
 def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarray) -> Overlaps:
     """Every nonzero entry of ``pairwise_iou(boxes, faces)``, without the matrix.
 
-    Each IoU is computed with :func:`pairwise_iou`'s arithmetic, so values
+    Each candidate pair is scored by :func:`pairwise_iou`'s kernel, so values
     are bit-equal to the dense entries, and the entries left out are exactly
     its zeros (a box or face without positive sides and a finite area gets
     no pairs). Boxes go into power-of-two size classes, and a box of side
@@ -124,7 +129,9 @@ def overlaps(boxes: Sequence[Box] | np.ndarray, faces: Sequence[Box] | np.ndarra
     boxes = as_box_array(boxes)
     faces = as_box_array(faces)
     box, face = _candidates(boxes, faces)
-    return _scored(boxes.take(box, axis=0), faces, box, face)
+    iou = _iou(boxes.take(box, axis=0), faces.take(face, axis=0))
+    keep = iou > 0.0
+    return _ordered(box[keep], face[keep], iou[keep])
 
 
 def _scorable(boxes: np.ndarray) -> np.ndarray:
@@ -142,7 +149,7 @@ def _runs(start: np.ndarray, count: np.ndarray) -> np.ndarray:
 def _candidates(boxes: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (box, face) candidate pairs of `overlaps`: each pair with IoU > 0 among them once.
 
-    A box's candidates come in ascending face order, as `_scored` needs them.
+    A box's candidates come in ascending face order, as `_ordered` needs them.
     """
     bi, fi = np.flatnonzero(_scorable(boxes)), np.flatnonzero(_scorable(faces))
     if bi.size == 0 or fi.size == 0:
@@ -183,26 +190,6 @@ def _candidates(boxes: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nd
             box.append(bi.take(mine)[_runs(start, run)])
             face.append(np.repeat(fi.take(owner), run))
     return np.concatenate(box), np.concatenate(face)
-
-
-def _scored(b: np.ndarray, faces: np.ndarray, box: np.ndarray, face: np.ndarray) -> Overlaps:
-    """The candidate pairs with IoU > 0, by `pairwise_iou`'s arithmetic, in `Overlaps` order.
-
-    `b[i]` is the box of candidate i, whose index is `box[i]`. Each (box,
-    face) candidate appears once, and the candidates of a box that tie on
-    IoU come in ascending face order, so the lower face stays first.
-    """
-    f = faces.take(face, axis=0)
-    iw = np.minimum(b[:, 2], f[:, 2]) - np.maximum(b[:, 0], f[:, 0])
-    ih = np.minimum(b[:, 3], f[:, 3]) - np.maximum(b[:, 1], f[:, 1])
-    meet = np.flatnonzero((iw > 0.0) & (ih > 0.0))
-    box, face, b, f = box[meet], face[meet], b.take(meet, axis=0), f.take(meet, axis=0)
-    inter = iw[meet] * ih[meet]
-    union = _area(b) + _area(f) - inter
-    iou = np.zeros_like(inter)
-    np.divide(inter, union, out=iou, where=union > 0.0)  # both areas may underflow to 0
-    keep = iou > 0.0
-    return _ordered(box[keep], face[keep], iou[keep])
 
 
 def _ordered(box: np.ndarray, face: np.ndarray, iou: np.ndarray) -> Overlaps:

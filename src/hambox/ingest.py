@@ -22,7 +22,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -76,34 +76,19 @@ class ImageRecord:
         return np.array([f.box for f in self.faces], dtype=np.float64)
 
 
-class _LineReader:
-    def __init__(self, lines: Iterator[str]):
-        self._lines = lines
-        self._consumed = 0
-        self.lineno = 0  # line number of the most recently returned line
-        self._pushed: tuple[str, int] | None = None
-
-    def next(self) -> str | None:
-        if self._pushed is not None:
-            line, self.lineno = self._pushed
-            self._pushed = None
-            return line
-        for raw in self._lines:
-            self._consumed += 1
-            line = raw.rstrip("\n").rstrip("\r")
-            if line.strip():
-                self.lineno = self._consumed
-                return line
-        return None
-
-    def push_back(self, line: str) -> None:
-        self._pushed = (line, self.lineno)
-
-
 def _parse_face_fields(parts: Sequence[str]) -> tuple[int, ...]:
     if len(parts) != 10:
         raise ValueError(f"expected 10 fields, got {len(parts)}")
     return tuple(int(p) for p in parts)
+
+
+def _is_face_line(line: str | None) -> bool:
+    """Whether `line` holds ten integer fields; None, the end of input, does not."""
+    try:
+        _parse_face_fields((line or "").split())
+    except ValueError:
+        return False
+    return True
 
 
 def parse_wider_annotations(
@@ -118,20 +103,28 @@ def parse_wider_annotations(
     faces are dropped and summarized in a single warning.
     """
     if isinstance(stream, str):
-        stream = iter(stream.splitlines(keepends=True))
-    reader = _LineReader(iter(stream))
+        stream = stream.splitlines(keepends=True)
+    lines = ((n, raw.rstrip("\n").rstrip("\r")) for n, raw in enumerate(stream, 1) if raw.strip())
+    ahead: list[tuple[int, str]] = []  # a line read one too far, to be read again
+    lineno = 0  # line number of the most recently taken line
     records: list[ImageRecord] = []
     dropped = {"malformed": 0, "degenerate": 0}
+
+    def take() -> str | None:
+        """The next nonblank line, or None at the end of input."""
+        nonlocal lineno
+        lineno, line = ahead.pop() if ahead else next(lines, (lineno, None))
+        return line
 
     def reject(message: str, kind: str | None = "malformed") -> None:
         """Raise on the current line in strict mode; else count the entry as `kind` (None: tolerated)."""
         if strict:
-            raise AnnotationParseError(f"line {reader.lineno}: {message}") from None
+            raise AnnotationParseError(f"line {lineno}: {message}") from None
         if kind is not None:
             dropped[kind] += 1
 
-    while (path := reader.next()) is not None:
-        count_line = reader.next()
+    while (path := take()) is not None:
+        count_line = take()
         if count_line is None:
             reject(f"truncated block for {path!r}")
             break
@@ -142,27 +135,22 @@ def parse_wider_annotations(
         except ValueError:
             reject(f"bad face count {count_line.strip()!r} for {path!r}")
             # Recovery: discard anything that still looks like a face line.
-            while (line := reader.next()) is not None:
-                try:
-                    _parse_face_fields(line.split())
-                except ValueError:
-                    reader.push_back(line)
-                    break
+            while _is_face_line(line := take()):
+                pass
+            if line is not None:
+                ahead.append((lineno, line))
             records.append(ImageRecord(path=path, faces=()))
             continue
 
         faces: list[FaceAnnotation] = []
         if count == 0:
             # The distributed files pad empty images with one all-zero line.
-            placeholder = reader.next()
-            try:
-                _parse_face_fields((placeholder or "").split())
-            except ValueError:
+            if not _is_face_line(placeholder := take()):
                 reject("expected placeholder face line after zero count", None)
                 if placeholder is not None:
-                    reader.push_back(placeholder)
+                    ahead.append((lineno, placeholder))
         for _ in range(count):
-            line = reader.next()
+            line = take()
             if line is None:
                 reject(f"truncated block for {path!r}")
                 break

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hambox.geometry import (
     encode_boxes,
     iou,
     nms,
+    overlaps,
     pairwise_iou,
 )
 
@@ -78,6 +80,16 @@ class TestIoU:
         shifted_a = Box(a.x0 + dx, a.y0 + dy, a.x1 + dx, a.y1 + dy)
         shifted_b = Box(b.x0 + dx, b.y0 + dy, b.x1 + dx, b.y1 + dy)
         assert iou(shifted_a, shifted_b) == pytest.approx(iou(a, b), abs=1e-12)
+
+    def test_far_apart_huge_boxes_are_zero_without_warning(self):
+        # Each area is 1e308, finite, but the union's sum of areas overflows.
+        a, b = Box(0.0, 0.0, 1e154, 1e154), Box(2e154, 0.0, 3e154, 1e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert iou(a, b) == 0.0
+            assert pairwise_iou([a], [b]).tolist() == [[0.0]]
+            assert elementwise_iou([a], [b]).tolist() == [0.0]
+            assert overlaps([a], [b]).box.size == 0
 
     def test_pairwise_matches_scalar(self):
         rng = np.random.default_rng(11)

@@ -1,10 +1,13 @@
 import io
+import re
 import textwrap
 from dataclasses import fields, is_dataclass
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hambox import ingest
 from hambox.anchors import AnchorConfig
 from hambox.assignment import MatchParams
 from hambox.geometry import Box
@@ -101,6 +104,27 @@ class TestParse:
         records = parse_wider_annotations(io.StringIO(text), strict=False)
         assert len(records[0].faces) == 1
 
+    def test_path_without_count_is_truncated(self, caplog):
+        text = "img/a.jpg\n1\n10 20 30 40 0 0 0 0 0 0\n\nimg/b.jpg\n"
+        with pytest.raises(AnnotationParseError, match=r"^line 5: truncated block for 'img/b.jpg'$"):
+            parse_wider_annotations(io.StringIO(text), strict=True)
+        with caplog.at_level("WARNING"):
+            records = parse_wider_annotations(io.StringIO(text), strict=False)
+        assert [r.path for r in records] == ["img/a.jpg"]
+        assert "skipped 1 malformed entries, dropped 0 degenerate faces" in caplog.text
+
+    def test_zero_count_without_placeholder_reads_the_next_path(self, caplog):
+        text = "img/a.jpg\n0\nimg/b.jpg\n1\n10 20 30 40 0 0 0 0 0 0\n"
+        with pytest.raises(AnnotationParseError, match=r"^line 3: expected placeholder face line after zero count$"):
+            parse_wider_annotations(io.StringIO(text), strict=True)
+        with caplog.at_level("WARNING"):
+            records = parse_wider_annotations(io.StringIO(text), strict=False)
+        assert [(r.path, [f.box for f in r.faces]) for r in records] == [
+            ("img/a.jpg", []),
+            ("img/b.jpg", [Box(10, 20, 40, 60)]),
+        ]
+        assert caplog.text == ""
+
     def test_attribute_out_of_range(self):
         text = "img/a.jpg\n1\n10 20 30 40 7 0 0 0 0 0\n"
         with pytest.raises(AnnotationParseError, match="blur"):
@@ -130,6 +154,58 @@ class TestParse:
         assert len(records) == CANONICAL.count(".jpg")
         declared = [1, 0, 3]
         assert [len(r.faces) for r in records] == declared
+
+
+@st.composite
+def _annotation_texts(draw):
+    """WIDER-like text with rare faults: bad and negative counts, a missing count or
+    placeholder, short and long face lists, face lines of 9 or 11 fields, attribute and
+    coordinate extremes; also blank lines, CRLF line ends and no final newline."""
+
+    def rarely() -> bool:
+        return draw(st.integers(0, 9)) == 0
+
+    def face_line() -> str:
+        fields = [draw(st.integers(-3, 60)) for _ in range(2)] + [draw(st.integers(1, 60)) for _ in range(2)]
+        fields += [draw(st.integers(0, 1)) for _ in range(6)]
+        if rarely():
+            fields[draw(st.integers(0, 9))] = draw(st.sampled_from([0, -1, 3, 2**53, -(2**53), 2**53 + 1, 10**30]))
+        width = draw(st.sampled_from([9, 11])) if rarely() else 10
+        return " ".join(map(str, (fields + [0])[:width]))
+
+    lines = []
+    for i in range(draw(st.integers(0, 4))):
+        lines.append(f"img/{i}.jpg")
+        count = draw(st.sampled_from(["-1", "x", "1.5", None])) if rarely() else str(draw(st.integers(0, 3)))
+        if count is not None:
+            lines.append(count)
+        if count == "0" and not rarely():
+            lines.append("0 0 0 0 0 0 0 0 0 0")
+        declared = int(count) if count is not None and count.isdigit() else draw(st.integers(0, 2))
+        extra = draw(st.sampled_from([-1, 1])) if rarely() else 0
+        lines += [face_line() for _ in range(max(0, declared + extra))]
+    text = []
+    for line in lines:
+        if rarely():
+            text.append(draw(st.sampled_from(["", "  ", "\t"])))
+        text.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(text) + (end if draw(st.booleans()) else "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_annotation_texts())
+def test_strict_and_lenient_parses_agree(text):
+    with mock.patch.object(ingest.logger, "warning") as warn:
+        lenient = parse_wider_annotations(text)
+    try:
+        strict = parse_wider_annotations(text, strict=True)
+    except AnnotationParseError as exc:
+        lineno = int(re.match(r"line (\d+): ", str(exc)).group(1))
+        assert 1 <= lineno <= len(text.splitlines())
+    else:
+        assert strict == lenient
+        warn.assert_not_called()
 
 
 

@@ -213,6 +213,7 @@ class TestOverlapsMatchesDense:
     @settings(max_examples=200, deadline=None)
     @given(float_boxes(80), float_boxes(10))
     @example(np.array([[0.0, 0.0, 1e-200, 1e-200]] * 3), np.array([[0.0, 0.0, 1e-200, 1e-200]]))  # areas underflow to 0
+    @example(np.array([[0.0, 0.0, 1e154, 1e154]]), np.array([[2e154, 0.0, 3e154, 1e154]]))  # the union overflows
     def test_float_boxes(self, boxes, faces):
         assert_matches_dense(boxes, faces)
 

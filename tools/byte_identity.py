@@ -11,8 +11,9 @@ both trees read the same files.
 
 Every invocation runs in its own `python -m hambox.cli` subprocess with
 PYTHONPATH set to one tree. Per invocation the tool compares the exit code,
-stdout, the set of files written, the sha256 of every output file and every
-field of `manifest.json` (nested keys joined with dots, such as
+stdout, stderr (which holds the parser's summary of dropped faces), the set
+of files written, the sha256 of every output file and every field of
+`manifest.json` (nested keys joined with dots, such as
 `config.data.annotations`). It also checks that each manifest's `outputs`
 holds the sha256 of the file on disk. A field named with `--allow` is
 reported when it differs but does not count as a mismatch. The exit code is
@@ -63,6 +64,16 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     far_xywh = ini("far_xywh_gt.txt", f"far/a.jpg\n{len(FAR_XYWH)}\n"
                    + "".join(f"{x} {y} {w} {h} 0 0 0 0 0 0\n" for x, y, w, h in FAR_XYWH))
     far_face = ini("far_face_gt.txt", "far/a.jpg\n1\n10000000 10 8 8 0 0 0 0 0 0\n")
+    # Malformed, with CRLF line ends: a bad count followed by face lines, a zero count without its placeholder,
+    # face lines of 9 and 11 fields, a degenerate face, an out-of-range attribute and a truncated last block.
+    malformed = ini("malformed_gt.txt", "\r\n".join([
+        "bad/a.jpg", "2", "10 20 30 40 0 0 0 0 0 0", "50 60 20 24 1 0 0 0 1 0",
+        "bad/b.jpg", "two", "12 14 30 30 0 0 0 0 0 0", "40 40 16 16 0 0 0 0 0 0",
+        "bad/c.jpg", "0",
+        "bad/d.jpg", "5", "10 10 40 40 0 0 0 0 0", "30 30 0 12 0 0 0 0 0 0", "60 60 20 20 3 0 0 0 0 0",
+        "80 20 24 28 0 0 0 0 0 0", "100 100 30 30 0 0 0 0 0 0 0", "",
+        "bad/e.jpg", "3", "20 20 32 32 0 0 0 0 0 0",
+    ]))
     grid_ini = ini("grid.ini", "[anchors]\nstrides = 16, 32\nbase_scales = 40, 80\nscale_ratio = 1.0\n")
     noisy_ini = ini("noisy.ini", "[simulator]\nnoise_sigma = 0.05\nq = 0.8\n[compensation]\nk = 5\n")
     min_side_ini = ini("min_side.ini", "[data]\nmin_side = 6\n")
@@ -166,6 +177,9 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     runs.append(("match-stats-far-xywh", ["match-stats", "--annotations", far_xywh, "--ratios", "0.5:1.0:0.1"]))
     runs.append(("assign-far-face-hambox", ["assign", "--annotations", far_face, "--strategy", "hambox"]))
     runs.append(("match-stats-far-face", ["match-stats", "--annotations", far_face]))
+    for strategy in ("sms", "hambox"):
+        runs.append((f"assign-malformed-{strategy}", ["assign", "--annotations", malformed, "--strategy", strategy]))
+    runs.append(("match-stats-malformed", ["match-stats", "--annotations", malformed]))
     runs.append(("assign-T-K", ["--seed", "6", "assign", "--annotations", small, "--strategy", "hambox",
                                 "--sim-quality", "1.0", "--T", "0.6", "--K", "4"]))
     for seed in SEEDS:
@@ -194,7 +208,8 @@ def run_tree(src: str, argv: list[str], out: Path) -> dict:
                 manifest = flatten(json.loads(path.read_text(encoding="utf-8")))
             else:
                 files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return {"code": proc.returncode, "stdout": proc.stdout, "files": files, "manifest": manifest}
+    return {"code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "files": files,
+            "manifest": manifest}
 
 
 def flatten(obj, prefix: str = "") -> dict:
@@ -209,7 +224,7 @@ def flatten(obj, prefix: str = "") -> dict:
 def compare(base: dict, change: dict, allow: set[str]) -> tuple[list[str], list[str]]:
     """(mismatches, allowed differences) between two runs of one invocation."""
     bad, allowed = [], []
-    for key in ("code", "stdout"):
+    for key in ("code", "stdout", "stderr"):
         if base[key] != change[key]:
             bad.append(f"{key}: {base[key]!r} vs {change[key]!r}")
     for name in sorted(base["files"].keys() | change["files"].keys()):
