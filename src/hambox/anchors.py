@@ -52,12 +52,11 @@ class AnchorConfig:
 
     def anchor_size(self, level: int) -> tuple[float, float]:
         """(width, height) of every anchor on `level`."""
-        side = self.levels[level][1] * self.scale_ratio
-        return side, side * self.aspect_ratio
+        return tuple(self._sizes[1:, level].tolist())
 
     @cached_property
     def _sizes(self) -> np.ndarray:
-        """(3, L): per-level strides, anchor widths and anchor heights, as `anchor_size` computes them."""
+        """(3, L): per-level strides, anchor widths (base scale x scale ratio) and heights (width x aspect ratio)."""
         strides, scales = np.asarray(self.levels, dtype=np.float64).T
         aw = scales * self.scale_ratio
         return np.stack([strides, aw, aw * self.aspect_ratio])
@@ -91,9 +90,11 @@ class AnchorGrid:
     """All anchors tiled over an image, with per-anchor level and cell provenance.
 
     `lattice` marks a grid laid out by `generate_anchors`. Its anchors are
-    known from the config and image size alone: `boxes_at` and `levels_at`
-    compute them from their indices, `grid_overlaps` finds them by window,
-    and `boxes`, `level_of` and `cell_of` are built only when first read.
+    known from the config and image size alone: `levels_at` and `_cells_at`
+    map anchor indices to lattice cells, `boxes_at` computes boxes from
+    those cells, and `grid_overlaps` finds them by window. `boxes`,
+    `level_of` and `cell_of` are those maps over every index, built only
+    when first read.
     """
 
     boxes: np.ndarray = _PerAnchor()  # (N, 4) float64
@@ -120,31 +121,26 @@ class AnchorGrid:
             return self.level_of[anchor]
         return np.searchsorted(self._layout[5], anchor, side="right") - 1
 
+    def _cells_at(self, anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (level, row, col) lattice cell of each anchor index of a lattice grid."""
+        *_, cols, start = self._layout
+        level = self.levels_at(anchor)
+        return (level, *np.divmod(anchor - start[level], cols[level]))
+
     def boxes_at(self, anchor: np.ndarray) -> np.ndarray:
         """The (n, 4) boxes of the given anchor indices, bit-equal to those rows of `boxes`."""
         if not self.lattice:
             return self.boxes[anchor]
-        *_, cols, start = self._layout
-        level = self.levels_at(anchor)
-        row, col = np.divmod(anchor - start[level], cols[level])
-        return _cell_boxes(self._layout, level, row, col)
+        return _cell_boxes(self._layout, *self._cells_at(anchor))
 
     def _build_boxes(self) -> np.ndarray:
-        boxes = np.empty((len(self), 4))
-        for level, (r, c, i) in enumerate(zip(*self._layout[3:])):
-            boxes[i : i + r * c] = _cell_boxes(self._layout, level, np.arange(r)[:, None], np.arange(c)).reshape(-1, 4)
-        return boxes
+        return self.boxes_at(np.arange(len(self)))
 
     def _build_level_of(self) -> np.ndarray:
-        *_, rows, cols, _ = self._layout
-        return np.repeat(np.arange(rows.size, dtype=np.int32), rows * cols)
+        return self.levels_at(np.arange(len(self))).astype(np.int32)
 
     def _build_cell_of(self) -> np.ndarray:
-        cells = np.empty((len(self), 2), dtype=np.int32)
-        for r, c, i in zip(*self._layout[3:]):
-            cell = cells[i : i + r * c].reshape(r, c, 2)
-            cell[..., 0], cell[..., 1] = np.arange(r)[:, None], np.arange(c)
-        return cells
+        return np.stack(self._cells_at(np.arange(len(self)))[1:], axis=1).astype(np.int32)
 
 
 def _lattice(sizes: np.ndarray, image_w, image_h) -> tuple[np.ndarray, ...]:

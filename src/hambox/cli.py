@@ -142,12 +142,17 @@ def _parse_ratio_spec(spec: str) -> list[float]:
         raise ValueError(f"ratio spec must be finite numbers, got {spec!r}")
     if step <= 0:
         raise ValueError(f"ratio step must be > 0, got {step}")
+    if round(start, 12) <= 0 < start:  # ratios only grow from start, and so does their rounding
+        raise ValueError(f"ratio spec {spec!r}: ratio {start!r} rounds to 0 at 12 decimals")
     ratios = []
     r = start
     while r <= stop + 1e-9:
         if len(ratios) == MAX_RATIOS:
             raise ValueError(f"ratio spec {spec!r} yields more than {MAX_RATIOS} ratios")
         ratios.append(round(r, 12))
+        # A step below r's precision repeats r: name that, unless the spec spans more ratios than the cap anyway.
+        if r + step == r and (stop - r) / step < MAX_RATIOS:
+            raise ValueError(f"ratio spec {spec!r}: step {step!r} does not advance from {r!r}")
         r += step
     if not ratios:
         raise ValueError(f"ratio spec {spec!r} yields no ratios")

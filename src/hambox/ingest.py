@@ -22,7 +22,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -185,35 +185,42 @@ def load_wider_annotations(path: str | Path, strict: bool = False) -> list[Image
         return parse_wider_annotations(fh, strict=strict)
 
 
+def _valid(records: Sequence[ImageRecord], min_side: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The face rule: every face box of `records`, in order, as an (N, 4) array, and which of them are kept.
+
+    A face is kept unless it is flagged invalid, degenerate (width or
+    height <= 0) or has a side shorter than `min_side`. Sides are taken from
+    the array, as `Box.width` and `Box.height` take them from the box.
+    """
+    if not min_side >= 0:
+        raise ValueError(f"min_side must be >= 0, got {min_side}")
+    faces = [f for rec in records for f in rec.faces]
+    boxes = np.array([f.box for f in faces], dtype=np.float64).reshape(-1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):  # a side past the float range is inf, and inf - inf NaN
+        w, h = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
+    keep = np.array([f.invalid != 1 for f in faces], dtype=bool) & (w > 0) & (h > 0) & (np.minimum(w, h) >= min_side)
+    return boxes, keep
+
+
 def filter_valid(records: Sequence[ImageRecord], min_side: float = 0.0) -> list[ImageRecord]:
     """Drop faces flagged invalid, degenerate (width or height <= 0) or with a
-    side shorter than `min_side`; keep every image."""
-    if min_side < 0:
-        raise ValueError(f"min_side must be >= 0, got {min_side}")
-    out = []
-    for rec in records:
-        kept = tuple(
-            f
-            for f in rec.faces
-            if f.invalid != 1
-            and f.box.width > 0
-            and f.box.height > 0
-            and min(f.box.width, f.box.height) >= min_side
-        )
-        out.append(ImageRecord(path=rec.path, faces=kept))
-    return out
+    side shorter than `min_side`; keep every image. The one face rule
+    (`_valid`), which the census (`stats`) reads too."""
+    keep = iter(_valid(records, min_side)[1].tolist())
+    return [ImageRecord(path=rec.path, faces=tuple(f for f in rec.faces if next(keep))) for rec in records]
 
 
 _T = TypeVar("_T")
 
 
-def _map_images(work: Callable[[int], _T], n: int, threads: int) -> list[_T]:
-    """[work(0), ..., work(n - 1)], in image order; on a pool of `threads`
+def _map_images(work: Callable[[int], _T], n: int, threads: int) -> Iterator[_T]:
+    """Yields work(0), ..., work(n - 1) in image order; on a pool of `threads`
     workers when `threads` > 1. The one image walk of every command."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, range(n)))
-    return [work(i) for i in range(n)]
+            yield from pool.map(work, range(n))
+    else:
+        yield from map(work, range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +257,7 @@ class DataSettings:
     min_side: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.min_side < 0:
+        if not self.min_side >= 0:
             raise ValueError(f"min_side must be >= 0, got {self.min_side}")
 
 

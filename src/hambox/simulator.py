@@ -396,7 +396,7 @@ def run_simulation(
                     report = provenance_report(first, grid, quality, regressed, probs, faces, 0.5)
         return per_iter, report
 
-    per_image = _map_images(work, len(dataset), threads)
+    per_image = list(_map_images(work, len(dataset), threads))
     records: list[SimulationRecord] = []
     for t in range(n_iters):
         cls_com, cls_norm, loc_com, loc_norm, n_com, iou_sum, n_ign = (

@@ -18,12 +18,13 @@ are stacked, every anchor config and pyramid level of each, as the layers of
 one lattice, and scored in shared passes of at most `_PASS_CELLS` window
 cells; each pass is reduced to a few integers per config. Memory is bounded
 by the block and the pass, whatever the number of images or of configs in a
-scale-ratio sweep.
+scale-ratio sweep: `_map_images` yields each block's tally as it is done,
+and it is added to the total at once. The faces counted are those of the
+one face rule, `ingest._valid`, which `filter_valid` applies too.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,7 +33,7 @@ import numpy as np
 from .anchors import AnchorConfig, AnchorGrid, _cells, _cover, _lattice, _window
 from .assignment import BACKGROUND, SOURCE_STEP1, Assignment
 from .geometry import Box, as_box_array, elementwise_iou, nms
-from .ingest import ImageRecord, _map_images
+from .ingest import ImageRecord, _map_images, _valid
 from .mining import HIGH_QUALITY_IOU, AnchorQuality
 
 CPBB_IOU = 0.5  # a prediction is correct when it clears this IoU against some face
@@ -91,11 +92,12 @@ class ProvenanceReport:
 
 
 def _valid_faces(records: Sequence[ImageRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """The face boxes of `records` that `filter_valid` keeps, image by image, and how many each image has."""
-    faces = [f for rec in records for f in rec.faces]
-    boxes = np.array([f.box for f in faces], dtype=np.float64).reshape(-1, 4)
-    keep = np.array([f.invalid != 1 for f in faces], dtype=bool)
-    keep &= (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+    """The face boxes of `records` that `filter_valid` keeps, image by image, and how many each image has.
+
+    The faces are those of the one face rule, `ingest._valid`, at the
+    default `min_side`.
+    """
+    boxes, keep = _valid(records)
     image = np.repeat(np.arange(len(records)), [len(rec.faces) for rec in records])
     return boxes[keep], np.bincount(image[keep], minlength=len(records))
 
@@ -347,7 +349,9 @@ def _census(
 ) -> list[MatchCensus]:
     """One `MatchCensus` per config, from one walk that reads each record once.
 
-    Configs must share their number of levels.
+    Each block's tally is added on the calling thread as `_map_images`
+    yields it, so no state is shared between threads, and with one thread
+    no block's work outlives it. Configs must share their number of levels.
     """
     if iou_threshold <= 0.0:
         raise ValueError(f"iou_threshold must be > 0 for census counting, got {iou_threshold}")
@@ -367,17 +371,10 @@ def _census(
             half = len(records) // 2
             return tally(first, records[:half]) + tally(first + half, records[half:])
 
-    # Each block's tally is added as it is done, so no block outlives its work.
-    totals = np.zeros((len(configs), 3 + n_levels), dtype=np.int64)
-    lock = threading.Lock()
-
-    def work(block: int) -> None:
-        part = tally(*blocks[block])
-        with lock:
-            np.add(totals, part, out=totals)
-
     blocks = _blocks(dataset, sizes.size // 3)
-    _map_images(work, len(blocks), threads)
+    totals = np.zeros((len(configs), 3 + n_levels), dtype=np.int64)
+    for part in _map_images(lambda b: tally(*blocks[b]), len(blocks), threads):
+        totals += part
     return [MatchCensus(int(t[0]), int(t[1]), int(t[2]), t[3:]) for t in totals]
 
 
@@ -392,11 +389,12 @@ def dataset_census(
 
     Requires a strictly positive IoU threshold (zero-overlap anchors are
     outside every candidate window). Invalid and degenerate faces are
-    excluded before matching. `threads` > 1 maps blocks of images on a
-    thread pool. That is still no faster: a block is a few passes of numpy
-    calls on arrays of at most `_PASS_CELLS` cells, mostly under the
-    interpreter lock, and on two cores two threads took about 1.2 times as
-    long as one.
+    excluded before matching, by `filter_valid`'s rule. `threads` > 1 maps
+    blocks of images on a thread pool, and the calling thread adds up their
+    tallies in block order. That is still no faster: a block is a few passes
+    of numpy calls on arrays of at most `_PASS_CELLS` cells, mostly under
+    the interpreter lock, and on two cores two threads took about 1.2 times
+    as long as one.
     """
     return _census(dataset, [config], iou_threshold, image_sizes, threads)[0]
 

@@ -578,6 +578,30 @@ def test_non_finite_ratio_spec_exit_2(tmp_path, annotations, capsys, spec):
     assert ENDLESS_RATIO_SPECS[spec] in capsys.readouterr().err
 
 
+# Specs whose fault is not the cap: a step too small to move a ratio already
+# at stop, and a positive ratio that rounds to 0 at the 12 decimals kept.
+MISNAMED_RATIO_SPECS = {
+    "5:5:1e-17": "ratio spec '5:5:1e-17': step 1e-17 does not advance from 5.0",
+    "0.5:0.5:1e-300": "ratio spec '0.5:0.5:1e-300': step 1e-300 does not advance from 0.5",
+    "1e-13:1e-13:1": "ratio spec '1e-13:1e-13:1': ratio 1e-13 rounds to 0 at 12 decimals",
+}
+
+
+@pytest.mark.parametrize("spec", list(MISNAMED_RATIO_SPECS))
+def test_ratio_spec_names_its_fault(tmp_path, annotations, capsys, spec):
+    from hambox.cli import _parse_ratio_spec
+
+    argv = ["--out", str(tmp_path / "run"), "match-stats", "--annotations", annotations, f"--ratios={spec}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert MISNAMED_RATIO_SPECS[spec] in err
+    assert "yields more than" not in err and "must be positive" not in err
+    # Their neighbours are valid and keep their values.
+    assert _parse_ratio_spec("5:5:1e-3") == [5.0]
+    assert _parse_ratio_spec("0.5:0.5:1") == [0.5]
+    assert _parse_ratio_spec("1e-12:1e-12:1") == [1e-12]
+
+
 ANNOTATED_COMMANDS = {
     "match-stats": (["match-stats"], ["scale_curve.csv"]),
     "assign": (["assign", "--strategy", "hambox"], ["assign.csv"]),

@@ -242,8 +242,11 @@ class TestFilterValid:
         assert out[0].path == "a.jpg"
 
     def test_negative_min_side(self):
-        with pytest.raises(ValueError, match="min_side"):
-            filter_valid(self.records(), -1)
+        for bad in (-1, float("nan")):  # NaN fails every comparison: it would drop every face
+            with pytest.raises(ValueError, match="min_side"):
+                filter_valid(self.records(), bad)
+            with pytest.raises(ValueError, match="min_side"):
+                DataSettings(min_side=bad)
 
     def test_degenerate_face_dropped(self):
         from hambox.stats import dataset_census

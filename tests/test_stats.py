@@ -128,12 +128,19 @@ class TestDatasetCensus:
                 for x, y, s in rng.uniform([0, 0, 5], [150, 150, 60], size=(4, 3))
             ]
             records.append(record(faces))
-        a = dataset_census(records, config, 0.35, threads=1)
-        b = dataset_census(records, config, 0.35, threads=4)
-        assert a.total_faces == b.total_faces
-        assert a.matched_faces == b.matched_faces
-        assert a.total_positives == b.total_positives
-        np.testing.assert_array_equal(a.matched_faces_per_level, b.matched_faces_per_level)
+        # 48 cells fit one block; budgets of 16 and 8 cells split them into 3
+        # and 6 blocks, which the threads then tally concurrently.
+        for budget, n_blocks in ((stats._PASS_CELLS, 1), (16, 3), (8, 6)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(stats, "_PASS_CELLS", budget)
+                assert len(stats._blocks(records, 2)) == n_blocks
+                a = dataset_census(records, config, 0.35, threads=1)
+                for threads in (2, 4):
+                    b = dataset_census(records, config, 0.35, threads=threads)
+                    assert a.total_faces == b.total_faces
+                    assert a.matched_faces == b.matched_faces
+                    assert a.total_positives == b.total_positives
+                    np.testing.assert_array_equal(a.matched_faces_per_level, b.matched_faces_per_level)
 
 
 @st.composite
@@ -219,43 +226,66 @@ def test_census_tally_equals_per_config_kernel_and_dense(budget, case):
 
 
 def test_sweep_memory_flat_in_ratio_count():
-    """The census keeps O(one pass) of work arrays, however many ratios it sweeps."""
+    """The census keeps O(one pass) of work arrays, however many ratios it sweeps.
+
+    One crowd image is one block; 100 one-face images are many blocks, whose
+    tallies must not all be held at once.
+    """
     rng = np.random.default_rng(1)
     side = rng.uniform(4.0, 20.0, size=(200, 2))
     corner = rng.uniform(0.0, 1.0, size=(200, 2)) * ([360.0, 280.0] - side)
     crowd = record(np.round(np.hstack([corner, corner + side])).tolist(), path="crowd.jpg")
+    singles = [record([face], path=f"{i}.jpg") for i, face in enumerate(crowd.face_boxes()[:100].tolist())]
     config = AnchorConfig(levels=((4, 16), (8, 32), (16, 64), (32, 128), (64, 256), (128, 512)))
-    peaks = []
-    for n in (20, 2000):
-        ratios = np.linspace(0.4, 1.0, n).tolist()
-        tracemalloc.start()
-        try:
-            scale_ratio_sweep([crowd], config, ratios, 0.35)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 4 * 2**20, peaks
+    for dataset, counts in (([crowd], (20, 2000)), (singles, (10, 1000))):
+        peaks = []
+        for n in counts:
+            ratios = np.linspace(0.4, 1.0, n).tolist()
+            tracemalloc.start()
+            try:
+                scale_ratio_sweep(dataset, config, ratios, 0.35)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 4 * 2**20, (len(dataset), peaks)
+
+
+NON_FINITE = [np.inf, -np.inf, np.nan]
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(
         st.tuples(
+            st.floats(-50.0, 50.0) | st.sampled_from(NON_FINITE),
             st.floats(-50.0, 50.0),
-            st.floats(-50.0, 50.0),
-            st.sampled_from([-3.0, 0.0, 0.5, 7.0]),
-            st.sampled_from([-1.0, 0.0, 2.0, 9.5]),
+            st.sampled_from([-3.0, 0.0, 0.5, 7.0, *NON_FINITE]),
+            st.sampled_from([-1.0, 0.0, 2.0, 9.5, *NON_FINITE]),
             st.sampled_from([0, 1]),
         ),
         max_size=8,
-    )
+    ),
+    st.data(),
 )
-def test_valid_face_boxes_equals_filter_valid(faces):
+def test_valid_face_boxes_equals_filter_valid(faces, data):
     rec = record([(x, y, x + w, y + h) for x, y, w, h, _ in faces], invalid=[inv for *_, inv in faces])
     want = filter_valid([rec])[0].face_boxes()
     got = valid_face_boxes(rec)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
+    # `filter_valid` against the per-face rule it replaced, at 0, at a face's
+    # own side (a boundary) and elsewhere.
+    sides = [s for f in rec.faces for s in (f.box.width, f.box.height) if s >= 0.0]
+    min_side = data.draw(st.sampled_from([0.0, *sides]) | st.floats(0.0, 20.0) | st.just(np.inf))
+    kept = tuple(
+        f
+        for f in rec.faces
+        if f.invalid != 1
+        and f.box.width > 0
+        and f.box.height > 0
+        and min(f.box.width, f.box.height) >= min_side
+    )
+    assert filter_valid([rec], min_side) == [ImageRecord(rec.path, kept)]
 
 
 # A face that meets one column of anchors by one ulp: below a threshold as

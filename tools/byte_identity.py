@@ -182,6 +182,12 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     runs.append(("match-stats-malformed", ["match-stats", "--annotations", malformed]))
     runs.append(("assign-T-K", ["--seed", "6", "assign", "--annotations", small, "--strategy", "hambox",
                                 "--sim-quality", "1.0", "--T", "0.6", "--K", "4"]))
+    # `min_side` through every reader of the face rule: of the crowd file's 378 faces, 5 are flagged invalid
+    # and min_side = 6 drops 34 more.
+    for strategy in ("sms", "hambox"):
+        runs.append((f"assign-min-side-{strategy}", ["--config", min_side_ini, "assign", "--annotations", crowd,
+                                                     "--strategy", strategy]))
+    runs.append(("simulate-min-side", ["--config", min_side_ini, "simulate", "--annotations", crowd, "--iters", "1"]))
     for seed in SEEDS:
         for workload in ("sim-train", "crowd-assign", "wider-census"):
             spec = inputs.write_inputs(workload, seed, work / f"{workload}-{seed}", oracles)
