@@ -20,6 +20,7 @@ DEFAULT_STRIDES = (4, 8, 16, 32, 64, 128)
 DEFAULT_BASE_SCALES = (16, 32, 64, 128, 256, 512)
 DEFAULT_SCALE_RATIO = 0.68
 INT64_MAX = 2**63 - 1  # anchor indices and per-face budgets are int64
+MAX_ANCHORS = 2**22  # the most anchors a command builds a whole grid of; `anchors` takes about 280 B of peak RSS each
 
 
 @dataclass(frozen=True)

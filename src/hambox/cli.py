@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .anchors import _pair_rows, cover_image_size, generate_anchors
+from .anchors import MAX_ANCHORS, _pair_rows, cover_image_size, generate_anchors
 from .assignment import _ROW_MATCHERS, SOURCE_NAMES, SOURCE_STEP1
 from .geometry import elementwise_iou
 from .ingest import (
@@ -48,7 +48,6 @@ EXIT_ANALYSIS = 1
 EXIT_USAGE = 2
 
 MAX_RATIOS = 10_000  # a --ratios spec that yields more exits 2
-MAX_ANCHORS = 2**22  # an `anchors` grid that holds more exits 2: about 280 B of peak RSS each
 
 # glibc mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
@@ -144,18 +143,19 @@ def _parse_ratio_spec(spec: str) -> list[float]:
         raise ValueError(f"ratio step must be > 0, got {step}")
     if round(start, 12) <= 0 < start:  # ratios only grow from start, and so does their rounding
         raise ValueError(f"ratio spec {spec!r}: ratio {start!r} rounds to 0 at 12 decimals")
-    ratios = []
-    r = start
-    while r <= stop + 1e-9:
-        if len(ratios) == MAX_RATIOS:
-            raise ValueError(f"ratio spec {spec!r} yields more than {MAX_RATIOS} ratios")
-        ratios.append(round(r, 12))
-        # A step below r's precision repeats r: name that, unless the spec spans more ratios than the cap anyway.
-        if r + step == r and (stop - r) / step < MAX_RATIOS:
-            raise ValueError(f"ratio spec {spec!r}: step {step!r} does not advance from {r!r}")
-        r += step
-    if not ratios:
+    span = (stop - start) / step + 1e-9  # ratios past start, with a tolerance relative to step
+    if span >= MAX_RATIOS:
+        raise ValueError(f"ratio spec {spec!r} yields more than {MAX_RATIOS} ratios")
+    if span < 0:
         raise ValueError(f"ratio spec {spec!r} yields no ratios")
+    ratios = []
+    for k in range(math.floor(span) + 1):
+        r = start + k * step
+        if r + step == r:  # a step below r's precision would repeat r
+            raise ValueError(f"ratio spec {spec!r}: step {step!r} does not advance from {r!r}")
+        if ratios and round(r, 12) == ratios[-1]:
+            raise ValueError(f"ratio spec {spec!r}: ratio {r!r} repeats {ratios[-1]!r} at 12 decimals")
+        ratios.append(round(r, 12))
     return ratios
 
 

@@ -223,16 +223,13 @@ def location_loss(
     step1_pos = assignment.source == SOURCE_STEP1
     if np.any(np.isnan(assignment.targets[compensated | step1_pos])):
         raise AssertionError("positive anchor lacking a regression target")
-    n_com = int(compensated.sum())
-    n_norm = int(step1_pos.sum())
-    loc_com = 0.0
-    if n_com:
-        diff = pred_deltas[compensated] - assignment.targets[compensated]
-        loc_com = float(np.sum(smooth_l1(diff, params.smooth_l1_beta)) / n_com)
-    loc_norm = 0.0
-    if n_norm:
-        diff = pred_deltas[step1_pos] - assignment.targets[step1_pos]
-        loc_norm = float(np.sum(smooth_l1(diff, params.smooth_l1_beta)) / n_norm)
+
+    def pool(mask: np.ndarray) -> tuple[float, int]:  # the pool's mean penalty, and its count
+        n = int(mask.sum())
+        diff = pred_deltas[mask] - assignment.targets[mask]
+        return (float(np.sum(smooth_l1(diff, params.smooth_l1_beta)) / n) if n else 0.0), n
+
+    (loc_com, n_com), (loc_norm, n_norm) = pool(compensated), pool(step1_pos)
     return LossBreakdown(loc_compensated=loc_com, loc_normal=loc_norm, n_com=n_com, n_norm=n_norm)
 
 

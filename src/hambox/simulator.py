@@ -18,7 +18,7 @@ one. Every other anchor stays background with F = 0 and adds one known loss
 term. Only the noise draw, which the stream fixes for every anchor, its
 per-level bound (`_jitter_reach`) and the loss's background pool read every
 anchor; a scorer that does not rank F = 0 below a correct box makes the
-report rebuild the whole grid.
+report rebuild the whole grid, of at most `MAX_ANCHORS` anchors.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .anchors import (
+    MAX_ANCHORS,
     AnchorConfig,
     AnchorGrid,
     _pair_rows,
@@ -343,7 +344,8 @@ def run_simulation(
     report reads that iteration's rows, unless the scorer does not rank an
     anchor outside them (F = 0) strictly below a correct box: then its NMS
     needs their boxes, and the image's whole grid is regressed, scored and
-    matched again with the public functions.
+    matched again with the public functions; a grid of more than
+    `MAX_ANCHORS` anchors raises ValueError before any of it is built.
     """
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
@@ -370,15 +372,8 @@ def run_simulation(
             loc = location_loss(deltas, it.assigned, loss_params)
             comp_mask = it.assigned.source == SOURCE_HAMBOX
             com_ious = elementwise_iou(it.regressed[comp_mask], faces[it.assigned.face_of[comp_mask]])
-            per_iter.append((
-                cls.cls_compensated,
-                cls.cls_normal,
-                loc.loc_compensated,
-                loc.loc_normal,
-                int(comp_mask.sum()),
-                float(np.sum(com_ious)),
-                int(it.ignore.sum()),
-            ))
+            loss_terms = (cls.cls_compensated, cls.cls_normal, loc.loc_compensated, loc.loc_normal)
+            per_iter.append((*loss_terms, cls.n_com, float(np.sum(com_ious)), int(it.ignore.sum())))
             if provenance and it.iteration == n_iters - 1:
                 # The report's NMS reads every box that scores at least its
                 # weakest correct step-1 box, whose F exceeds CPBB_IOU. The
@@ -388,6 +383,11 @@ def run_simulation(
                 if it.rows.size == n or outside[0] < probs[it.quality.F > CPBB_IOU].min(initial=np.inf):
                     boxes = grid.boxes_at(it.rows)
                     report = provenance_report(it.first, boxes, it.quality, it.regressed, probs, faces, 0.5)
+                elif n > MAX_ANCHORS:
+                    raise ValueError(
+                        f"{dataset[i].path}: at score_scale {scorer_scale!r} and score_bias {scorer_bias!r} "
+                        f"the provenance report needs the whole grid of {n} anchors, more than {MAX_ANCHORS}"
+                    )
                 else:
                     regressed = simulate_regression(grid, faces, model, it.iteration, i)
                     quality = compute_quality(regressed, faces)
@@ -396,23 +396,15 @@ def run_simulation(
                     report = provenance_report(first, grid, quality, regressed, probs, faces, 0.5)
         return per_iter, report
 
-    per_image = list(_map_images(work, len(dataset), threads))
-    records: list[SimulationRecord] = []
-    for t in range(n_iters):
-        cls_com, cls_norm, loc_com, loc_norm, n_com, iou_sum, n_ign = (
-            sum(per_iter[t][k] for per_iter, _ in per_image) for k in range(7)
-        )
-        records.append(
-            SimulationRecord(
-                iteration=t,
-                cls_compensated=cls_com,
-                cls_normal=cls_norm,
-                loc_compensated=loc_com,
-                loc_normal=loc_norm,
-                n_compensated=n_com,
-                mean_compensated_iou=(iou_sum / n_com) if n_com else None,
-                n_ignored=n_ign,
-            )
-        )
-    report = combine_reports([r for _, r in per_image]) if provenance else None
-    return records, report
+    # Each image's terms add to its iteration's totals in image order, from 0: plain
+    # left-to-right addition on every Python (3.12's `sum` compensates floats).
+    totals = [[0] * 7 for _ in range(n_iters)]
+    reports = []
+    for per_iter, report in _map_images(work, len(dataset), threads):
+        totals = [[a + b for a, b in zip(total, terms)] for total, terms in zip(totals, per_iter)]
+        reports.append(report)
+    records = [
+        SimulationRecord(t, cls_com, cls_norm, loc_com, loc_norm, n_com, iou_sum / n_com if n_com else None, n_ign)
+        for t, (cls_com, cls_norm, loc_com, loc_norm, n_com, iou_sum, n_ign) in enumerate(totals)
+    ]
+    return records, combine_reports(reports) if provenance else None

@@ -25,7 +25,7 @@ one face rule, `ingest._valid`, which `filter_valid` applies too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -489,17 +489,8 @@ def combine_reports(reports: Sequence[ProvenanceReport]) -> ProvenanceReport:
     """Pool per-image provenance reports: counts add, CDF samples merge."""
     if not reports:
         raise ValueError("no reports to combine")
-    return ProvenanceReport(
-        n_cpbb=sum(r.n_cpbb for r in reports),
-        n_cpbb_from_matched=sum(r.n_cpbb_from_matched for r in reports),
-        n_hq=sum(r.n_hq for r in reports),
-        n_hq_unmatched=sum(r.n_hq_unmatched for r in reports),
-        n_faces=sum(r.n_faces for r in reports),
-        faces_matched_anchor=sum(r.faces_matched_anchor for r in reports),
-        faces_matched_cpbb=sum(r.faces_matched_cpbb for r in reports),
-        faces_matched_cpbb_post_nms=sum(r.faces_matched_cpbb_post_nms for r in reports),
-        iou_cdf=np.sort(np.concatenate([r.iou_cdf for r in reports])),
-    )
+    counts = {f.name: sum(getattr(r, f.name) for r in reports) for f in fields(ProvenanceReport) if f.name != "iou_cdf"}
+    return ProvenanceReport(**counts, iou_cdf=np.sort(np.concatenate([r.iou_cdf for r in reports])))
 
 
 def provenance_csv(report: ProvenanceReport) -> str:

@@ -571,6 +571,15 @@ def test_ratio_cap_is_inclusive():
         _parse_ratio_spec(f"1:{MAX_RATIOS + 1}:1")
 
 
+def test_ratios_count_from_step():
+    """Ratio k is start + k * step: no drift builds up, and stop is reached within a tolerance relative to step."""
+    from hambox.cli import _parse_ratio_spec
+
+    fine = _parse_ratio_spec("0.001:1:0.001")
+    assert len(fine) == 1000 and fine[-1] == 1.0
+    assert _parse_ratio_spec("1.65:91.8:0.3")[-1] == 91.65  # a running sum reached 91.649999999999
+
+
 @pytest.mark.parametrize("spec", list(ENDLESS_RATIO_SPECS))
 def test_non_finite_ratio_spec_exit_2(tmp_path, annotations, capsys, spec):
     argv = ["--out", str(tmp_path / "run"), "match-stats", "--annotations", annotations, f"--ratios={spec}"]
@@ -579,11 +588,13 @@ def test_non_finite_ratio_spec_exit_2(tmp_path, annotations, capsys, spec):
 
 
 # Specs whose fault is not the cap: a step too small to move a ratio already
-# at stop, and a positive ratio that rounds to 0 at the 12 decimals kept.
+# at stop, a positive ratio that rounds to 0 at the 12 decimals kept, and two
+# ratios that round to one.
 MISNAMED_RATIO_SPECS = {
     "5:5:1e-17": "ratio spec '5:5:1e-17': step 1e-17 does not advance from 5.0",
     "0.5:0.5:1e-300": "ratio spec '0.5:0.5:1e-300': step 1e-300 does not advance from 0.5",
     "1e-13:1e-13:1": "ratio spec '1e-13:1e-13:1': ratio 1e-13 rounds to 0 at 12 decimals",
+    "6e-13:1.6e-12:5e-13": "ratio spec '6e-13:1.6e-12:5e-13': ratio 1.1e-12 repeats 1e-12 at 12 decimals",
 }
 
 
@@ -750,6 +761,32 @@ def test_far_image_simulates_without_the_grid(tmp_path, text):
     assert code == 0
     assert peak < 16 << 20
     assert len(read(out / "simulation.csv").splitlines()) == 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("scale", ["0", "-3"])
+def test_far_face_provenance_past_the_cap_exit_2(tmp_path, scale):
+    """A scorer that does not rank F = 0 below a correct box needs the far face's whole grid: exit 2, named.
+
+    The provenance report would rebuild all 271,492,861 anchors (2 GB of
+    int64 indices alone); it is refused before any of them is built.
+    """
+    gt = tmp_path / "gt.txt"
+    gt.write_text(FAR_FILES["far-face"])
+    cfg = tmp_path / "scorer.ini"
+    cfg.write_text(f"[simulator]\nscore_scale = {scale}\n")
+    out = tmp_path / "run"
+    argv = ["--config", str(cfg), "--out", str(out), "simulate", "--annotations", str(gt), "--iters", "1", "--provenance"]
+    proc = run_child(tmp_path, FAR_FACE_CHILD, argv)
+    assert "Traceback" not in proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 2
+    assert peak < 16 << 20
+    assert (
+        f"far/a.jpg: at score_scale {float(scale)!r} and score_bias -2.0 the provenance report needs"
+        f" the whole grid of 271492861 anchors, more than {MAX_ANCHORS}"
+    ) in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")

@@ -300,7 +300,7 @@ def test_noisy_simulation_memory_is_rows_not_anchors():
 def test_provenance_adds_no_per_anchor_array():
     """2 noise-free iterations on 1.33M anchors: the report reads the rows, so provenance keeps the loss pool's peak.
 
-    The peaks measured 11.0 MB both with and without provenance; with the
+    The peaks measured 0.81 MB both with and without provenance; with the
     report's arrays spread back to the grid, it was 124.4 MB.
     """
     faces = (FaceAnnotation(Box(100.0, 120.0, 140.0, 166.0)), FaceAnnotation(Box(2000.0, 1500.0, 2090.0, 1600.0)))

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from collections.abc import Sequence
 
@@ -14,6 +15,7 @@ from hambox.ingest import FaceAnnotation, ImageRecord, filter_valid
 from hambox.mining import compute_quality
 from hambox.stats import (
     EmptyDatasetError,
+    ProvenanceReport,
     _block_tally,
     _census,
     _image_census,
@@ -586,10 +588,14 @@ class TestProvenanceReport:
         np.testing.assert_allclose(cdf, [10 / 11, 1.0])
 
     def test_combine_reports_pools_counts(self):
+        """Two different reports pool to the sum of every count and the sorted union of their CDFs."""
         grid, faces, regressed, scores, assignment, quality = hand_fixture()
         rep = provenance_report(assignment, grid, quality, regressed, scores, faces, 0.5)
-        pooled = combine_reports([rep, rep])
-        assert pooled.n_cpbb == 2 * rep.n_cpbb
-        assert pooled.faces_matched_cpbb == 2 * rep.faces_matched_cpbb
-        assert pooled.frac_cpbb_from_matched == pytest.approx(rep.frac_cpbb_from_matched)
-        assert pooled.iou_cdf.shape[0] == 2 * rep.iou_cdf.shape[0]
+        counts = [f.name for f in dataclasses.fields(ProvenanceReport) if f.name != "iou_cdf"]
+        # Each count of `other` is a distinct power of ten, so a count taken from the wrong field shows.
+        other = ProvenanceReport(**{name: 10 ** (k + 1) for k, name in enumerate(counts)}, iou_cdf=np.array([0.4, 0.95]))
+        pooled = combine_reports([rep, other])
+        assert len(counts) == 8
+        for name in counts:
+            assert getattr(pooled, name) == getattr(rep, name) + getattr(other, name), name
+        assert pooled.iou_cdf.tolist() == sorted(rep.iou_cdf.tolist() + [0.4, 0.95])
